@@ -15,6 +15,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -79,6 +80,25 @@ class ChaosExpansion:
 
     def max_degree(self) -> int:
         return max((sum(a) for a in self.coeffs), default=0)
+
+    @cached_property
+    def degree_classes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Squared coefficient mass by class (|a|, last nonzero entry of a).
+
+        Parallel arrays (degree, last, weight), sorted by class; weight sums
+        c_a^2 over the class and the zero index is the class (0, 0).  Norms
+        that see a only through |a| and its last entry are dot products over
+        these classes.  Computed once and kept with the expansion.
+        """
+        mass: Dict[Tuple[int, int], float] = {}
+        for a, c in self.coeffs.items():
+            key = (sum(a), a[-1] if a else 0)
+            mass[key] = mass.get(key, 0.0) + c * c
+        keys = sorted(mass)
+        degree = np.array([k[0] for k in keys], dtype=np.int64)
+        last = np.array([k[1] for k in keys], dtype=np.int64)
+        weight = np.array([mass[k] for k in keys], dtype=float)
+        return degree, last, weight
 
 
 def constant(grid: GridSpec, value: float) -> ChaosExpansion:

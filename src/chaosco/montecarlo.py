@@ -10,6 +10,7 @@ regardless of how blocks are distributed over workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -87,10 +88,16 @@ def hermite_expand_terminal(
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if isinstance(f, DigitalPayoff):
+        # hermite_indicator_integral for every k from one recurrence pass
         threshold = f.strike / math.sqrt(T)
-        return np.array(
-            [hermite.hermite_indicator_integral(k, threshold) for k in range(max_degree + 1)]
-        )
+        d = np.empty(max_degree + 1)
+        d[0] = hermite.normal_sf(threshold)
+        if max_degree >= 1:
+            below = hermite.eval_all(max_degree - 1, threshold)
+            d[1:] = float(hermite.normal_pdf(threshold)) * below / np.sqrt(
+                np.arange(1, max_degree + 1)
+            )
+        return d
     func = f.f if isinstance(f, SmoothPayoff) else f
     if isinstance(f, PolynomialPayoff):
         if f.degree == 0:
@@ -171,17 +178,16 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
         raise ValueError("error order n must be >= 1")
     d = hermite_expand_terminal(DigitalPayoff(0.0), 1.0, max_degree)
     tail_sums = _inverse_power_tail_sums(grid.N, max_degree)
+    earlier_slots = np.arange(grid.N, dtype=float)  # ell - 1 for ell = 1..N
     total = 0.0
     for m in range(n + 1, max_degree + 1):
         if d[m] == 0.0:
             continue
-        per_slot = 0.0
-        for ell in range(1, grid.N + 1):
-            combinatorial = sum(
-                math.comb(m, k) * float(ell - 1) ** (m - k) for k in range(n + 1, m + 1)
-            )
-            per_slot += tail_sums[m][ell - 1] ** 2 * combinatorial
-        total += d[m] ** 2 * per_slot
+        k = np.arange(n + 1, m + 1)
+        binomials = np.array([float(math.comb(m, j)) for j in k])
+        # sum_{k=n+1}^{m} C(m,k) (ell-1)^{m-k}, one entry per slot ell
+        combinatorial = (earlier_slots[:, None] ** (m - k)) @ binomials
+        total += d[m] ** 2 * float(tail_sums[m] ** 2 @ combinatorial)
     return grid.dt * math.sqrt(total)
 
 
@@ -211,6 +217,11 @@ def _sample_block(seed: int, block: int, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols))
 
 
+def _pool_size(workers: int, n_blocks: int) -> int:
+    """Sampling threads: never more than requested, blocks, or CPUs."""
+    return max(1, min(workers, n_blocks, os.cpu_count() or 1))
+
+
 def sample_paths(
     grid: GridSpec, n_samples: int, seed: int, workers: int = 1
 ) -> PathBatch:
@@ -226,8 +237,9 @@ def sample_paths(
     sizes = [
         min(SAMPLE_BLOCK, n_samples - b * SAMPLE_BLOCK) for b in range(n_blocks)
     ]
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = _pool_size(workers, n_blocks)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(
                 pool.map(
                     lambda b: _sample_block(seed, b, sizes[b], grid.N),

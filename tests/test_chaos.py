@@ -33,6 +33,18 @@ def test_sobolev_norm_examples():
     assert chaos.sobolev_norm(f2, 0.0) == pytest.approx(5.0)
 
 
+def test_degree_classes():
+    g = GridSpec(1.0, 3)
+    f = ChaosExpansion(g, {(): 2.0, (1, 2): 1.0, (3,): 3.0, (0, 1, 2): -2.0, (2, 0, 1): 0.5})
+    degree, last, weight = f.degree_classes
+    assert degree.tolist() == [0, 3, 3, 3]
+    assert last.tolist() == [0, 1, 2, 3]
+    assert weight.tolist() == [4.0, 0.25, 5.0, 9.0]
+    assert f.degree_classes is f.degree_classes
+    empty = ChaosExpansion(g, {}).degree_classes
+    assert [x.size for x in empty] == [0, 0, 0]
+
+
 def test_conditional_expectation_projection():
     g = GridSpec(1.0, 2)
     f = ChaosExpansion(g, {(): 1.0, (1,): 1.0, (0, 1): 2.0})

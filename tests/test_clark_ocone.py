@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -94,6 +96,66 @@ def test_tail_mass_vs_enumeration():
                 assert co.tail_mass(a, n, n1) == pytest.approx(brute, abs=1e-13)
 
 
+@lru_cache(maxsize=None)
+def _int_power_sum(n1, e):
+    """sum_{i=0}^{N1-1} i^e in integers, with 0^0 = 1."""
+    return sum(i**e for i in range(n1))
+
+
+def _exact_tail_mass(v, n, n1):
+    """S(v, n, N1) from the integer S N1^v = sum_l sum_{k>n} C(v,k) (l-1)^{v-k}.
+
+    By the binomial theorem the inner sum is l^v - sum_{k<=n} C(v,k) (l-1)^{v-k};
+    in integers that subtraction is exact.  The quotient is rounded once.
+    """
+    tops = _int_power_sum(n1 + 1, v) - 0**v  # sum_{l=1}^{N1} l^v
+    heads = sum(math.comb(v, k) * _int_power_sum(n1, v - k) for k in range(min(n, v) + 1))
+    return float(Fraction(tops - heads, n1**v))
+
+
+def test_exact_tail_mass_oracle_matches_double_sum():
+    for v in range(7):
+        for n in (1, 2, 3):
+            for n1 in (1, 2, 3):
+                direct = sum(
+                    math.comb(v, k) * (l - 1) ** (v - k)
+                    for l in range(1, n1 + 1)
+                    for k in range(n + 1, v + 1)
+                )
+                assert _exact_tail_mass(v, n, n1) == float(Fraction(direct, n1**v))
+
+
+@pytest.mark.parametrize("n1", [1, 2, 4, 64, 1024, 4096])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tail_mass_table_matches_exact_integers(n, n1):
+    for v in [*range(41), 60, 61, 400, 1000]:
+        got = co.tail_mass((v,), n, n1) if v else co._tail_mass_value(0, n, n1)
+        want = _exact_tail_mass(v, n, n1)
+        if v <= n:
+            assert got == 0.0
+        else:
+            assert abs(got - want) <= 1e-12 * want, (v, got, want)
+
+
+def test_tail_mass_small_tail_keeps_precision():
+    # the cubic at n=2: a single term N1^{-2}, which a complement would cancel away
+    assert co.tail_mass((3,), 2, 4096) == pytest.approx(4096.0**-2, rel=1e-15)
+
+
+def test_tail_mass_table_independent_of_length():
+    for n, n1 in [(1, 2), (2, 3), (3, 64)]:
+        short = co._tail_mass_table(n, n1, 64)
+        long = co._tail_mass_table(n, n1, 1024)
+        assert np.array_equal(short, long[:64])
+        assert not long.flags.writeable
+
+
+def test_tail_mass_caches_are_bounded():
+    assert co._tail_mass_value.cache_info().maxsize is not None
+    assert co._tail_mass_table.cache_info().maxsize == co.TABLE_CACHE_SIZE
+    assert co._scaled_power_sums.cache_info().maxsize == co.TABLE_CACHE_SIZE
+
+
 def test_tail_mass_bound_examples():
     assert co.tail_mass_bound((2,), 1, 2, 1.0) == pytest.approx(1.0)
     assert co.tail_mass_bound((5, 1), 3, 4, 0.0) == 1.0
@@ -124,6 +186,26 @@ def test_err_norm_refined_matches_materialized_tail():
                 )
 
 
+def test_err_norm_refined_matches_per_coefficient_sum():
+    rng = np.random.default_rng(31)
+    for n0, degree in [(1, 40), (3, 6), (4, 5)]:
+        f = ChaosExpansion(
+            GridSpec(1.0, n0),
+            {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(n0, degree)},
+        )
+        for n in (1, 2, 3):
+            for n1 in (1, 2, 5, 64):
+                for s in (-1.0, 0.0, 0.5, 2.0):
+                    squared = sum(
+                        (1.0 + sum(a)) ** s * c * c * _exact_tail_mass(a[-1], n, n1)
+                        for a, c in f.coeffs.items()
+                        if a
+                    )
+                    assert co.err_norm_refined(f, n, n1, s) == pytest.approx(
+                        math.sqrt(squared), rel=1e-12, abs=0.0
+                    )
+
+
 def test_err_norm_monotonicity():
     rng = np.random.default_rng(29)
     f = ChaosExpansion(
@@ -148,6 +230,26 @@ def test_error_norm_bound_examples():
     )
     with pytest.raises(ValueError):
         co.error_norm_bound(f, 1, 2, 0.0, -0.1)
+
+
+def _log_int_ratio(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def test_bounds_at_high_order_stay_finite():
+    # n! N1^n and 1001^(s+rn) overflow a float at n = 200; log space does not
+    n, n1 = 200, 256
+    coeffs = {(1000,): 1e-3, (250,): 0.5, (3,): 2.0}
+    f = ChaosExpansion(GridSpec(1.0, 1), coeffs)
+    log_den = math.log(math.factorial(n) * n1**n)
+    for s, r in [(0.0, 1.0), (1.0, 0.5), (-1.0, 0.25)]:
+        order = int(s + r * n)
+        norm_sq = sum(Fraction(1 + a[0]) ** order * Fraction(c) ** 2 for a, c in coeffs.items())
+        want = math.exp(0.5 * (_log_int_ratio(norm_sq) - r * log_den))
+        assert co.error_norm_bound(f, n, n1, s, r) == pytest.approx(want, rel=1e-12)
+        assert co.verify_bound(f, n, n1, s, r).holds
+    want = math.exp(0.5 * (n * math.log(250) - log_den))
+    assert co.tail_mass_bound((250,), n, n1, 0.5) == pytest.approx(want, rel=1e-12)
 
 
 def test_verify_bound():

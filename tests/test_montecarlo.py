@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chaosco import chaos, clark_ocone as co, montecarlo as mc
+from chaosco import chaos, clark_ocone as co, hermite, montecarlo as mc
 from chaosco.chaos import ChaosExpansion, GridSpec
 
 
@@ -36,6 +36,18 @@ def test_hermite_expand_terminal_digital():
     assert d[3] == pytest.approx(-1 / math.sqrt(12 * math.pi))
     with pytest.raises(ValueError):
         mc.hermite_expand_terminal(mc.DigitalPayoff(0.0), 1.0, -1)
+
+
+@pytest.mark.parametrize("strike", [0.0, 0.5])
+def test_hermite_expand_terminal_digital_matches_per_order_integrals(strike):
+    for T in (1.0, 2.0):
+        d = mc.hermite_expand_terminal(mc.DigitalPayoff(strike), T, 1000)
+        threshold = strike / math.sqrt(T)
+        per_order = [hermite.hermite_indicator_integral(k, threshold) for k in range(1001)]
+        np.testing.assert_allclose(d, per_order, rtol=1e-13, atol=0.0)
+    assert mc.hermite_expand_terminal(mc.DigitalPayoff(strike), 1.0, 0).tolist() == [
+        hermite.normal_sf(strike)
+    ]
 
 
 def test_hermite_expand_terminal_smooth_matches_polynomial():
@@ -108,6 +120,45 @@ def test_occupation_error_norm_vs_materialized():
             assert mc.occupation_error_norm(grid, n, 9) == pytest.approx(
                 direct, abs=1e-14
             )
+
+
+def _occupation_error_norm_loops(grid, n, max_degree):
+    """Slot-by-slot, order-by-order sum of the squared order-n tail coefficients."""
+    d = mc.hermite_expand_terminal(mc.DigitalPayoff(0.0), 1.0, max_degree)
+    tail_sums = mc._inverse_power_tail_sums(grid.N, max_degree)
+    total = 0.0
+    for m in range(n + 1, max_degree + 1):
+        per_slot = 0.0
+        for ell in range(1, grid.N + 1):
+            combinatorial = sum(
+                math.comb(m, k) * float(ell - 1) ** (m - k) for k in range(n + 1, m + 1)
+            )
+            per_slot += tail_sums[m][ell - 1] ** 2 * combinatorial
+        total += d[m] ** 2 * per_slot
+    return grid.dt * math.sqrt(total)
+
+
+def test_occupation_error_norm_matches_loops():
+    for n_steps in (1, 4, 16, 64):
+        grid = GridSpec(2.0, n_steps)
+        for n in (1, 2, 3):
+            for max_degree in (3, 12, 30):
+                assert mc.occupation_error_norm(grid, n, max_degree) == pytest.approx(
+                    _occupation_error_norm_loops(grid, n, max_degree), rel=1e-12, abs=0.0
+                )
+
+
+def test_pool_size_caps(monkeypatch):
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+    assert mc._pool_size(1, 10) == 1
+    assert mc._pool_size(4, 10) == 2
+    assert mc._pool_size(10_000, 3) == 2
+    assert mc._pool_size(4, 1) == 1
+    assert mc._pool_size(0, 5) == 1
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    assert mc._pool_size(8, 8) == 1
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+    assert mc._pool_size(8, 3) == 3
 
 
 def test_sample_paths_deterministic():
