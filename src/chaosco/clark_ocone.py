@@ -303,14 +303,37 @@ def zeta_error_bound(f: ChaosExpansion, n: int) -> float:
     Comparative diagnostic at the expansion's own grid size; zero whenever the
     expansion has no coefficients of degree above n.
     """
-    from scipy.special import zeta
-
     if n < 1:
         raise ValueError("error order n must be >= 1")
     integral = malliavin_derivative_squared_integral(f, n + 1)
     if integral == 0.0:
         return 0.0
-    return math.sqrt(f.grid.T * float(zeta(n + 1)) * integral) / math.sqrt(f.grid.N)
+    return math.sqrt(f.grid.T * _zeta(n + 1) * integral) / math.sqrt(f.grid.N)
+
+
+#: B_2, B_4, ..., B_14: Bernoulli numbers of the Euler-Maclaurin tail
+_BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+#: terms summed directly before the Euler-Maclaurin tail takes over
+_ZETA_HEAD = 16
+
+
+def _zeta(s: int) -> float:
+    """Riemann zeta at an integer s >= 2.
+
+    sum_{k<M} k^-s plus the Euler-Maclaurin tail from M = _ZETA_HEAD:
+    M^{1-s}/(s-1) + M^-s/2 + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) M^{1-s-2j}.
+    The first omitted term, largest at s = 2, is below 1e-19 relative.
+    """
+    if s < 2:
+        raise ValueError("zeta needs an integer argument >= 2")
+    m = _ZETA_HEAD
+    terms = [k ** -float(s) for k in range(1, m)]
+    terms += [m ** (1.0 - s) / (s - 1), 0.5 * m ** -float(s)]
+    factor = s / 2.0  # s (s+1) ... (s+2j-2) / (2j)!
+    for j, bernoulli in enumerate(_BERNOULLI_EVEN, start=1):
+        terms.append(bernoulli * factor * m ** (1.0 - s - 2 * j))
+        factor *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2))
+    return math.fsum(terms)
 
 
 def fit_loglog_slope(xs, ys) -> Tuple[float, int]:

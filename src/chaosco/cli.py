@@ -377,10 +377,14 @@ def cmd_simulate_hedge(cfg: Dict[str, object]) -> int:
     buf = io.StringIO()
     for line in _header_lines("simulate-hedge", cfg):
         buf.write(f"# {line}\n")
+    occupation = isinstance(payoff, OccupationTimePayoff)
+    if occupation:
+        # l2_estimate is the exact norm of the degree-truncated expansion's
+        # first-order error, not a hedge simulation; std_error is 0
+        buf.write("# method=truncated-chaos\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["N", "l2_estimate", "std_error"])
-    if isinstance(payoff, OccupationTimePayoff):
-        # exact truncated-coefficient first-order error; no sampling noise
+    if occupation:
         for n_steps, err in occupation_rate_sweep(
             1, cfg["N_list"], cfg["T"], cfg["max_degree"]
         ):

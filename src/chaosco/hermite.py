@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .multiindex import MultiIndex, canonical
 
@@ -64,19 +63,68 @@ class QuadratureRule:
     weights: np.ndarray
 
     def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
+        # exactly rounded sum: odd integrands cancel to 0 on the symmetric rule
+        return math.fsum(self.weights * np.asarray(f(self.nodes), dtype=float))
+
+
+#: per-node rescale threshold of the Christoffel recurrence; squares of
+#: values below it, summed over any practical order, stay finite
+_RESCALE_ABOVE = 2.0**480
+
+
+def _christoffel_recurrence(x: np.ndarray, order: int):
+    """H_{q-1}(x), H_q(x) and sum_{k<q} H_k(x)^2 for q = order, rescaled per node.
+
+    Returns ``(h_prev, h, total, shift)``: the true values are
+    ``h_prev * 2**shift``, ``h * 2**shift`` and ``total * 4**shift``.
+    Rescaling by powers of two is exact, so the values agree bit for bit with
+    the plain recurrence wherever that one does not overflow.
+    """
+    h_prev = np.zeros_like(x)
+    h = np.ones_like(x)
+    total = np.zeros_like(x)
+    shift = np.zeros(x.shape, dtype=int)
+    for k in range(order):
+        total += h * h
+        h, h_prev = (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1), h
+        mag = np.maximum(np.abs(h), np.abs(h_prev))
+        if mag.max() > _RESCALE_ABOVE:
+            e = np.where(mag > _RESCALE_ABOVE, np.frexp(mag)[1], 0)
+            h, h_prev = np.ldexp(h, -e), np.ldexp(h_prev, -e)
+            total = np.ldexp(total, -2 * e)
+            shift += e
+    return h_prev, h, total, shift
 
 
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Order-q rule; exact for polynomials of degree <= 2q-1 against phi.
 
-    Nodes come from the symmetric tridiagonal eigenproblem for the
-    probabilists' weight; weights are renormalized to sum to 1.
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the Jacobi matrix of the orthonormal recurrence (off-diagonal
+    sqrt(1..q-1)), symmetrized and polished by two Newton steps on H_q with
+    H_q' = sqrt(q) H_{q-1}.  The weights are the Christoffel numbers
+    w_i = 1 / sum_{k<q} H_k(x_i)^2, not renormalized; their sum is 1 to
+    rounding.  Nodes are exactly antisymmetric and weights exactly symmetric.
+    Weights far out in the tail may underflow to 0 at high order.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    nodes, weights = special.roots_hermitenorm(order)
-    weights = weights / math.sqrt(2.0 * math.pi)
+    if order == 1:
+        return QuadratureRule(nodes=np.array([0.0]), weights=np.array([1.0]))
+    off = np.sqrt(np.arange(1.0, order))
+    eig = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    half = order // 2
+    # positive nodes, largest first; the mirrored eigenvalue is averaged in
+    x = (eig[::-1][:half] - eig[:half]) / 2.0
+    for _ in range(2):
+        h_prev, h, _, _ = _christoffel_recurrence(x, order)
+        x = x - h / (math.sqrt(order) * h_prev)
+    points = np.append(x, 0.0) if order % 2 else x
+    _, _, total, shift = _christoffel_recurrence(points, order)
+    w = np.ldexp(1.0 / total, -2 * shift)
+    centre = w[half:]  # the node at 0 for odd orders, else empty
+    nodes = np.concatenate([-x, np.zeros(order % 2), x[::-1]])
+    weights = np.concatenate([w[:half], centre, w[:half][::-1]])
     return QuadratureRule(nodes=nodes, weights=weights)
 
 

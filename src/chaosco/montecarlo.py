@@ -212,9 +212,9 @@ class PathBatch:
         return np.cumsum(math.sqrt(self.grid.dt) * self.increments, axis=1)
 
 
-def _sample_block(seed: int, block: int, rows: int, cols: int) -> np.ndarray:
+def _sample_block(seed: int, block: int, rows: np.ndarray) -> None:
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(block))
-    return rng.standard_normal((rows, cols))
+    rng.standard_normal(out=rows)
 
 
 def _pool_size(workers: int, n_blocks: int) -> int:
@@ -234,21 +234,19 @@ def sample_paths(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n_blocks = (n_samples + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
-    sizes = [
-        min(SAMPLE_BLOCK, n_samples - b * SAMPLE_BLOCK) for b in range(n_blocks)
+    increments = np.empty((n_samples, grid.N))
+    # disjoint row slices of one array, so threads fill it in place
+    blocks = [
+        increments[b * SAMPLE_BLOCK : (b + 1) * SAMPLE_BLOCK] for b in range(n_blocks)
     ]
     threads = _pool_size(workers, n_blocks)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(
-                pool.map(
-                    lambda b: _sample_block(seed, b, sizes[b], grid.N),
-                    range(n_blocks),
-                )
-            )
+            list(pool.map(lambda b: _sample_block(seed, b, blocks[b]), range(n_blocks)))
     else:
-        blocks = [_sample_block(seed, b, sizes[b], grid.N) for b in range(n_blocks)]
-    return PathBatch(grid, np.vstack(blocks), seed)
+        for b in range(n_blocks):
+            _sample_block(seed, b, blocks[b])
+    return PathBatch(grid, increments, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +281,31 @@ def mc_err_norm(f: ChaosExpansion, n: int, batch: PathBatch) -> McEstimate:
 
 
 def _conditional_delta(
-    payoff: TerminalPayoff, w: np.ndarray, residual_var: float
-) -> np.ndarray:
-    """E[f'(W_T) | W_t = w] with residual variance T - t.
+    payoff: TerminalPayoff,
+) -> Callable[[np.ndarray, float], np.ndarray]:
+    """(w, T - t) -> E[f'(W_T) | W_t = w], with f' and the rule built once.
 
     Smooth payoffs are heat-kernel smoothed by quadrature in the residual
     variable; the digital uses the exact Gaussian density formula.
     """
     if isinstance(payoff, DigitalPayoff):
-        z = (payoff.strike - w) / math.sqrt(residual_var)
-        return hermite.normal_pdf(z) / math.sqrt(residual_var)
+        def delta(w: np.ndarray, residual_var: float) -> np.ndarray:
+            z = (payoff.strike - w) / math.sqrt(residual_var)
+            return hermite.normal_pdf(z) / math.sqrt(residual_var)
+
+        return delta
     if isinstance(payoff, PolynomialPayoff):
-        dpay = payoff.derivative()
-        order = dpay.degree // 2 + 1
-        rule = hermite.gauss_hermite_rule(order)
-        df = dpay
+        df = payoff.derivative()
+        rule = hermite.gauss_hermite_rule(df.degree // 2 + 1)
     else:
-        rule = hermite.gauss_hermite_rule(24)
         df = payoff.df
-    shifted = w[:, None] + math.sqrt(residual_var) * rule.nodes[None, :]
-    return np.asarray(df(shifted)) @ rule.weights
+        rule = hermite.gauss_hermite_rule(24)
+
+    def delta(w: np.ndarray, residual_var: float) -> np.ndarray:
+        shifted = w[:, None] + math.sqrt(residual_var) * rule.nodes[None, :]
+        return np.asarray(df(shifted)) @ rule.weights
+
+    return delta
 
 
 def _terminal_value(payoff: TerminalPayoff, w_terminal: np.ndarray) -> np.ndarray:
@@ -323,15 +326,22 @@ def tracking_error_hedge(
         raise TypeError("tracking-error hedging requires a terminal payoff")
     if batch.grid != grid:
         raise ValueError("path batch grid does not match the requested grid")
-    w = batch.brownian_paths()
-    dw = math.sqrt(grid.dt) * batch.increments
+    # one column at a time, in the order np.cumsum adds: W_T first, for F,
+    # then W_{t_{l-1}} running alongside the hedge
+    sqrt_dt = math.sqrt(grid.dt)
+    xi = batch.increments
+    w = sqrt_dt * xi[:, 0]
+    for col in range(1, grid.N):
+        w += sqrt_dt * xi[:, col]
     mean = float(hermite_expand_terminal(payoff, grid.T, 0)[0])
-    residual = _terminal_value(payoff, w[:, -1]) - mean
+    residual = _terminal_value(payoff, w) - mean
+    delta = _conditional_delta(payoff)
+    w = np.zeros(batch.n_samples)
     for ell in range(1, grid.N + 1):
-        w_prev = w[:, ell - 2] if ell > 1 else np.zeros(batch.n_samples)
         residual_var = grid.T - (ell - 1) * grid.dt
-        delta = _conditional_delta(payoff, w_prev, residual_var)
-        residual = residual - delta * dw[:, ell - 1]
+        dw = sqrt_dt * xi[:, ell - 1]
+        residual -= delta(w, residual_var) * dw
+        w += dw
     return _l2_of_samples(residual)
 
 

@@ -276,6 +276,20 @@ def test_zeta_error_bound():
     assert co.zeta_error_bound(f, 1) >= co.err_norm_refined(f, 1, 1, 0.0)
 
 
+def test_zeta_closed_forms():
+    assert co._zeta(2) == pytest.approx(math.pi**2 / 6, rel=1e-15, abs=0.0)
+    assert co._zeta(4) == pytest.approx(math.pi**4 / 90, rel=1e-15, abs=0.0)
+    assert co._zeta(200) == 1.0
+    with pytest.raises(ValueError):
+        co._zeta(1)
+
+
+def test_zeta_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for s in range(2, 41):
+        assert co._zeta(s) == pytest.approx(float(special.zeta(s)), rel=1e-15, abs=0.0)
+
+
 def test_derivative_squared_integral_multislot():
     # F = H_1 x H_1 on two slots of a T=2 grid: D_t F is H_1 of the other
     # slot divided by sqrt(dt); each slot integrates to ||H_1||^2 = 1

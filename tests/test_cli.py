@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +205,7 @@ def test_simulate_hedge_occupation_exact(tmp_path):
     assert first[0] == "4"
     assert float(first[1]) == pytest.approx(0.14006300242748623, abs=1e-13)
     assert float(first[2]) == 0.0
+    assert "# method=truncated-chaos\n" in out.read_text().splitlines(keepends=True)
 
 
 def test_simulate_hedge_terminal_and_worker_independence(tmp_path):
@@ -272,3 +277,15 @@ def test_atomic_write_no_partial_files(tmp_path):
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
     assert out.exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only oracle; importing it would add ~0.3 s to every run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import chaosco.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True,
+    )

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from chaosco import hermite
+
+
+def _logistic(z):
+    """1 / (1 + exp(-z)), without overflow for large |z|."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def test_low_orders_closed_forms():
@@ -34,14 +38,48 @@ def test_fourier_hermite_products():
 
 
 def test_quadrature_small_rules():
+    # exact, not close: the Monte Carlo hedge of W_T^2 uses these rules and
+    # its output is compared byte for byte
     r1 = hermite.gauss_hermite_rule(1)
-    assert np.allclose(r1.nodes, [0.0]) and np.allclose(r1.weights, [1.0])
+    assert r1.nodes.tolist() == [0.0] and r1.weights.tolist() == [1.0]
     r2 = hermite.gauss_hermite_rule(2)
-    assert np.allclose(r2.nodes, [-1.0, 1.0])
-    assert np.allclose(r2.weights, [0.5, 0.5])
+    assert r2.nodes.tolist() == [-1.0, 1.0] and r2.weights.tolist() == [0.5, 0.5]
     assert r2.integrate(lambda x: x**2) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         hermite.gauss_hermite_rule(0)
+
+
+@pytest.mark.parametrize("q", [3, 10, 30, 60, 100, 150])
+def test_quadrature_gram_of_all_exact_orders(q):
+    # orders <= q-1 pair to degree <= 2q-2, inside the rule's exactness
+    rule = hermite.gauss_hermite_rule(q)
+    table = hermite.eval_all(q - 1, rule.nodes)
+    gram = table @ (table * rule.weights).T
+    assert np.max(np.abs(gram - np.eye(q))) < 1e-14
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 15, 16, 99, 400])
+def test_quadrature_exact_symmetry(q):
+    rule = hermite.gauss_hermite_rule(q)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+
+
+def test_quadrature_high_order_weights_finite():
+    rule = hermite.gauss_hermite_rule(400)
+    assert np.all(np.isfinite(rule.nodes)) and np.all(np.diff(rule.nodes) > 0)
+    assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights >= 0.0)
+    assert abs(math.fsum(rule.weights) - 1.0) < 1e-14
+
+
+def test_quadrature_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for q in (1, 2, 3, 5, 8, 20, 41, 64, 100, 150):
+        rule = hermite.gauss_hermite_rule(q)
+        nodes, weights = special.roots_hermitenorm(q)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(rule.nodes - nodes)) < 1e-13
+        assert np.max(np.abs(rule.weights / weights - 1.0)) < 1e-11
 
 
 def test_quadrature_properties():
@@ -95,6 +133,6 @@ def test_indicator_integral_against_mollified_quadrature():
         for width, tol in [(0.1, 0.05), (0.02, 0.01)]:
             smooth = rule.integrate(
                 lambda x: hermite.eval_normalized(m, x)
-                * expit((x - k_threshold) / width)
+                * _logistic((x - k_threshold) / width)
             )
             assert abs(smooth - closed) < tol
