@@ -122,19 +122,24 @@ def conditional_expectation(f: ChaosExpansion, ell: int) -> ChaosExpansion:
 
 
 def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
-    """Pathwise value at standardized increments xi (last axis has N entries)."""
+    """Pathwise value at standardized increments xi (last axis has N entries).
+
+    A slot-major xi, such as ``np.moveaxis(slots, 0, -1)`` of a C-contiguous
+    (N, ...) array, is read without a copy.
+    """
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != f.grid.N:
         raise ValueError(f"expected {f.grid.N} increments, got {xi.shape[-1]}")
-    max_order = f.max_degree()
-    table = hermite.eval_all(max_order, xi)  # (order, ..., slot)
+    # slot-major, so that every table[order, slot] is one contiguous run
+    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0))
+    table = hermite.eval_all(f.max_degree(), slots)  # (order, slot, ...)
     out = np.zeros(xi.shape[:-1])
     for a, c in f.items():
         term = np.full(xi.shape[:-1], c)
         for slot, order in enumerate(a):
             if order:
-                term = term * table[order][..., slot]
-        out = out + term
+                term *= table[order, slot]
+        out += term
     return float(out) if out.ndim == 0 else out
 
 

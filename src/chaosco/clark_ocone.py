@@ -100,10 +100,13 @@ def evaluate_decomposition(d: ClarkOconeDecomposition, xi) -> np.ndarray:
     from .chaos import evaluate
 
     xi = np.asarray(xi, dtype=float)
+    # the slot axis is moved once; evaluate reads the moved-back view as is
+    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0))
+    xi = np.moveaxis(slots, 0, -1)
     out = np.full(xi.shape[:-1], d.mean)
     for term in d.terms:
         integrand = evaluate(term.integrand, xi)
-        out = out + integrand * hermite.eval_normalized(term.m, xi[..., term.ell - 1])
+        out = out + integrand * hermite.eval_normalized(term.m, slots[term.ell - 1])
     return out
 
 

@@ -128,7 +128,8 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def normal_pdf(x) -> float:
+def normal_pdf(x) -> float | np.ndarray:
+    """Standard normal density; an ndarray for array input."""
     return np.exp(-np.asarray(x, dtype=float) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 

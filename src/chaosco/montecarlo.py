@@ -4,7 +4,8 @@ Terminal payoffs f(W_T) get their one-step Hermite coefficients by quadrature
 (smooth f) or closed-form half-line integrals (digitals); the grid expansion
 is the exact refinement of the one-step one.  Path sampling uses the
 counter-based Philox generator in fixed-size blocks so results are bit-stable
-regardless of how blocks are distributed over workers.
+regardless of how blocks are distributed over workers; the estimators stream
+those blocks, slot-major, instead of holding every path.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -197,15 +199,40 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Standardized increments xi with bit-reproducible regeneration."""
+    """Seeded description of a batch of standardized increments xi.
+
+    Only the grid, the sample count, the Philox seed and the thread count are
+    stored.  The increments of block b are regenerated bit for bit from
+    (seed, b) whenever an estimator streams the batch (``_map_blocks``);
+    ``increments`` materializes the whole (n_samples, N) array on first
+    access and keeps it.
+    """
 
     grid: GridSpec
-    increments: np.ndarray  # (n_samples, N)
+    n_samples: int
     seed: int
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
 
     @property
-    def n_samples(self) -> int:
-        return self.increments.shape[0]
+    def n_blocks(self) -> int:
+        return -(-self.n_samples // SAMPLE_BLOCK)
+
+    @cached_property
+    def increments(self) -> np.ndarray:
+        """All paths, (n_samples, N), assembled in block order."""
+        out = np.empty((self.n_samples, self.grid.N))
+
+        def fill(lane: int, lanes: int) -> None:
+            for b in range(lane, self.n_blocks, lanes):
+                lo, hi = _block_bounds(b, self.n_samples)
+                _sample_block(self.seed, b, out[lo:hi])
+
+        _run_lanes(fill, _pool_size(self.workers, self.n_blocks))
+        return out
 
     def brownian_paths(self) -> np.ndarray:
         """Cumulative W_{t_1}..W_{t_N} per sample."""
@@ -217,9 +244,58 @@ def _sample_block(seed: int, block: int, rows: np.ndarray) -> None:
     rng.standard_normal(out=rows)
 
 
+def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
+    lo = block * SAMPLE_BLOCK
+    return lo, min(lo + SAMPLE_BLOCK, n_samples)
+
+
 def _pool_size(workers: int, n_blocks: int) -> int:
-    """Sampling threads: never more than requested, blocks, or CPUs."""
+    """Block threads for sampling, the hedge and evaluation.
+
+    Never more than requested, blocks, or CPUs.
+    """
     return max(1, min(workers, n_blocks, os.cpu_count() or 1))
+
+
+def _run_lanes(lane: Callable[[int, int], None], lanes: int) -> None:
+    """lane(i, lanes) for i < lanes, each on its own thread when lanes > 1.
+
+    Lane i takes blocks i, i + lanes, ...; every block is keyed by its own
+    index, so results do not depend on the lane count.
+    """
+    if lanes > 1:
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            list(pool.map(lambda i: lane(i, lanes), range(lanes)))
+    else:
+        lane(0, 1)
+
+
+def _map_blocks(
+    batch: PathBatch, fn: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """fn over the batch one SAMPLE_BLOCK of paths at a time, in sample order.
+
+    Each block is sampled into a row-major buffer, exactly as ``increments``
+    holds it, then copied into a C-contiguous slot-major (N, rows) buffer that
+    fn receives; fn returns one value per path.  Each thread reuses one pair
+    of buffers, so memory does not grow with n_samples beyond the result.
+    """
+    n, slots = batch.n_samples, batch.grid.N
+    out = np.empty(n)
+    size = min(n, SAMPLE_BLOCK) * slots
+
+    def lane(first: int, lanes: int) -> None:
+        row_buffer, slot_buffer = np.empty(size), np.empty(size)
+        for b in range(first, batch.n_blocks, lanes):
+            lo, hi = _block_bounds(b, n)
+            rows = row_buffer[: (hi - lo) * slots].reshape(hi - lo, slots)
+            _sample_block(batch.seed, b, rows)
+            xi = slot_buffer[: (hi - lo) * slots].reshape(slots, hi - lo)
+            np.copyto(xi, rows.T)
+            out[lo:hi] = fn(xi)
+
+    _run_lanes(lane, _pool_size(batch.workers, batch.n_blocks))
+    return out
 
 
 def sample_paths(
@@ -228,25 +304,11 @@ def sample_paths(
     """Deterministic batch of standardized normal increments.
 
     Generation happens in fixed SAMPLE_BLOCK-row blocks keyed by (seed, block
-    index) and assembled in block order, so the result is independent of the
-    worker count.
+    index), so every result is independent of the worker count.  Nothing is
+    sampled here: estimators stream the blocks, and ``increments`` builds the
+    full array on demand.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    n_blocks = (n_samples + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
-    increments = np.empty((n_samples, grid.N))
-    # disjoint row slices of one array, so threads fill it in place
-    blocks = [
-        increments[b * SAMPLE_BLOCK : (b + 1) * SAMPLE_BLOCK] for b in range(n_blocks)
-    ]
-    threads = _pool_size(workers, n_blocks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: _sample_block(seed, b, blocks[b]), range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            _sample_block(seed, b, blocks[b])
-    return PathBatch(grid, increments, seed)
+    return PathBatch(grid, n_samples, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +338,7 @@ def mc_err_norm(f: ChaosExpansion, n: int, batch: PathBatch) -> McEstimate:
     tail = err_tail(f, n)
     if not tail.coeffs:
         return McEstimate(0.0, 0.0)
-    values = evaluate(tail, batch.increments)
-    return _l2_of_samples(np.asarray(values))
+    return _l2_of_samples(_map_blocks(batch, lambda xi: evaluate(tail, xi.T)))
 
 
 def _conditional_delta(
@@ -326,29 +387,38 @@ def tracking_error_hedge(
         raise TypeError("tracking-error hedging requires a terminal payoff")
     if batch.grid != grid:
         raise ValueError("path batch grid does not match the requested grid")
-    # one column at a time, in the order np.cumsum adds: W_T first, for F,
-    # then W_{t_{l-1}} running alongside the hedge
     sqrt_dt = math.sqrt(grid.dt)
-    xi = batch.increments
-    w = sqrt_dt * xi[:, 0]
-    for col in range(1, grid.N):
-        w += sqrt_dt * xi[:, col]
     mean = float(hermite_expand_terminal(payoff, grid.T, 0)[0])
-    residual = _terminal_value(payoff, w) - mean
     delta = _conditional_delta(payoff)
-    w = np.zeros(batch.n_samples)
-    for ell in range(1, grid.N + 1):
-        residual_var = grid.T - (ell - 1) * grid.dt
-        dw = sqrt_dt * xi[:, ell - 1]
-        residual -= delta(w, residual_var) * dw
-        w += dw
-    return _l2_of_samples(residual)
+
+    def hedge(xi: np.ndarray) -> np.ndarray:
+        # one slot at a time, in the order np.cumsum adds: W_T first, for F,
+        # then W_{t_{l-1}} running alongside the hedge
+        w = sqrt_dt * xi[0]
+        for slot in range(1, grid.N):
+            w += sqrt_dt * xi[slot]
+        residual = _terminal_value(payoff, w) - mean
+        w = np.zeros(xi.shape[1])
+        for ell in range(1, grid.N + 1):
+            residual_var = grid.T - (ell - 1) * grid.dt
+            dw = sqrt_dt * xi[ell - 1]
+            residual -= delta(w, residual_var) * dw
+            w += dw
+        return residual
+
+    # reduced over the whole vector: per-block sums would change the last bits
+    return _l2_of_samples(_map_blocks(batch, hedge))
 
 
 def occupation_value(batch: PathBatch) -> np.ndarray:
     """Pathwise occupation time of [0, infinity) on the grid."""
-    w = batch.brownian_paths()
-    return np.sum(w >= 0.0, axis=1) * batch.grid.dt
+    sqrt_dt = math.sqrt(batch.grid.dt)
+
+    def occupation(xi: np.ndarray) -> np.ndarray:
+        w = np.cumsum(sqrt_dt * xi, axis=0)
+        return (w >= 0.0).sum(axis=0) * batch.grid.dt
+
+    return _map_blocks(batch, occupation)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,37 @@ def test_evaluate():
         chaos.evaluate(fsq, [1.0, 2.0])
 
 
+def _evaluate_per_term(f, xi):
+    """Reference evaluation: path-major table, one strided slot column per factor."""
+    xi = np.asarray(xi, dtype=float)
+    table = hermite.eval_all(f.max_degree(), xi)
+    out = np.zeros(xi.shape[:-1])
+    for a, c in f.items():
+        term = np.full(xi.shape[:-1], c)
+        for slot, order in enumerate(a):
+            if order:
+                term = term * table[order][..., slot]
+        out = out + term
+    return float(out) if out.ndim == 0 else out
+
+
+def test_evaluate_slot_major_bit_equal():
+    rng = np.random.default_rng(8)
+    g = GridSpec(1.0, 3)
+    mixed = ChaosExpansion(
+        g, {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(3, 5) if rng.random() < 0.6}
+    )
+    for f in (chaos.constant(g, 1.25), mixed):
+        single = rng.standard_normal(3)
+        value = chaos.evaluate(f, single)
+        assert isinstance(value, float) and value == _evaluate_per_term(f, single)
+        for shape in ((17, 3), (4, 6, 3)):
+            xi = rng.standard_normal(shape)
+            values = chaos.evaluate(f, xi)
+            assert values.shape == shape[:-1]
+            assert np.array_equal(values, _evaluate_per_term(f, xi))
+
+
 def test_coefficient_recovery_by_quadrature():
     # E[F H_a] recovers c_a: tensor quadrature over a 2-slot grid
     g = GridSpec(1.0, 2)

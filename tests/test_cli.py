@@ -289,3 +289,18 @@ def test_cli_import_does_not_load_scipy():
          "import chaosco.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True,
     )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_simulate_hedge_peak_memory(tmp_path):
+    # the hedge streams one 4096-path block per thread; the whole
+    # 50000 x 256 batch alone would be 102 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0",
+            "--N-list", "256", "--samples", "50000", "--out", str(tmp_path / "hedge.csv")]
+    pid = os.posix_spawn(sys.executable, argv, env)
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == EXIT_OK
+    assert usage.ru_maxrss / 1024.0 < 100.0

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -172,11 +173,62 @@ def test_sample_paths_deterministic():
         mc.sample_paths(grid, 0, seed=1)
 
 
-def test_sample_paths_worker_independent():
+def _hedge_materialized(payoff, grid, batch):
+    """Reference hedge: the column loop over the materialized (n_samples, N) array."""
+    sqrt_dt = math.sqrt(grid.dt)
+    xi = batch.increments
+    w = sqrt_dt * xi[:, 0]
+    for col in range(1, grid.N):
+        w += sqrt_dt * xi[:, col]
+    mean = float(mc.hermite_expand_terminal(payoff, grid.T, 0)[0])
+    residual = mc._terminal_value(payoff, w) - mean
+    delta = mc._conditional_delta(payoff)
+    w = np.zeros(batch.n_samples)
+    for ell in range(1, grid.N + 1):
+        dw = sqrt_dt * xi[:, ell - 1]
+        residual -= delta(w, grid.T - (ell - 1) * grid.dt) * dw
+        w += dw
+    return mc._l2_of_samples(residual)
+
+
+STREAMED_PAYOFFS = (
+    mc.DigitalPayoff(0.0),
+    mc.DigitalPayoff(0.5),
+    mc.PolynomialPayoff((0.0, 0.0, 1.0)),
+    mc.SmoothPayoff(np.sin, np.cos, "sin"),
+)
+
+
+def test_sample_paths_worker_independent(monkeypatch):
+    # streamed estimators are bit-equal to the materialized array's, at every
+    # worker count, and never materialize it themselves; four lanes run even
+    # on fewer cores, switching threads often
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _check_streamed_against_materialized()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _check_streamed_against_materialized():
     grid = GridSpec(1.0, 3)
-    serial = mc.sample_paths(grid, 3 * mc.SAMPLE_BLOCK + 17, seed=5, workers=1)
-    threaded = mc.sample_paths(grid, 3 * mc.SAMPLE_BLOCK + 17, seed=5, workers=4)
-    assert np.array_equal(serial.increments, threaded.increments)
+    f = mc.coeffs_terminal(mc.DigitalPayoff(0.0), grid, 6)
+    tail = co.err_tail(f, 1)
+    for n_samples in (100, 3 * mc.SAMPLE_BLOCK + 17):
+        serial = mc.sample_paths(grid, n_samples, seed=5, workers=1)
+        hedges = [_hedge_materialized(p, grid, serial) for p in STREAMED_PAYOFFS]
+        norm = mc._l2_of_samples(chaos.evaluate(tail, serial.increments))
+        occupation = np.sum(serial.brownian_paths() >= 0.0, axis=1) * grid.dt
+        for workers in (1, 2, 4):
+            batch = mc.sample_paths(grid, n_samples, seed=5, workers=workers)
+            for payoff, expected in zip(STREAMED_PAYOFFS, hedges):
+                assert mc.tracking_error_hedge(payoff, grid, batch) == expected
+            assert mc.mc_err_norm(f, 1, batch) == norm
+            assert np.array_equal(mc.occupation_value(batch), occupation)
+            assert "increments" not in vars(batch)
+            assert np.array_equal(batch.increments, serial.increments)
 
 
 def test_sample_paths_moments():
