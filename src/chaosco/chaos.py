@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Mapping, Tuple
@@ -59,16 +60,22 @@ class ChaosExpansion:
     coeffs: Mapping[MultiIndex, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean: Dict[MultiIndex, float] = {}
-        for key, value in self.coeffs.items():
-            key = mi.canonical(key)
-            if len(key) > self.grid.N:
-                raise ValueError(
-                    f"index {key} needs {len(key)} slots but grid has {self.grid.N}"
-                )
-            value = float(value)
-            if abs(value) > COEFF_PRUNE:
-                clean[key] = clean.get(key, 0.0) + value
+        keys = self.coeffs.keys()
+        if _canonical_keys(keys, self.grid.N):
+            # distinct canonical keys: nothing to trim or merge
+            values = map(float, self.coeffs.values())
+            clean = {key: value for key, value in zip(keys, values) if abs(value) > COEFF_PRUNE}
+        else:
+            clean = {}
+            for key, value in self.coeffs.items():
+                key = mi.canonical(key)
+                if len(key) > self.grid.N:
+                    raise ValueError(
+                        f"index {key} needs {len(key)} slots but grid has {self.grid.N}"
+                    )
+                value = float(value)
+                if abs(value) > COEFF_PRUNE:
+                    clean[key] = clean.get(key, 0.0) + value
         object.__setattr__(self, "coeffs", clean)
 
     def mean(self) -> float:
@@ -99,6 +106,41 @@ class ChaosExpansion:
         last = np.array([k[1] for k in keys], dtype=np.int64)
         weight = np.array([mass[k] for k in keys], dtype=float)
         return degree, last, weight
+
+    @cached_property
+    def _log_norms(self) -> Dict[float, float]:
+        return {}
+
+    def log_sobolev_norm_sq(self, s: float) -> float:
+        """log ||F||_{2,s}^2 from the degree classes, remembered per s.
+
+        Summed in log space, so (1+|a|)^s does not overflow at large s.
+        The zero expansion has no classes; callers handle it first.
+        """
+        if s not in self._log_norms:
+            degree, _, weight = self.degree_classes
+            log_terms = s * np.log1p(degree) + np.log(weight)
+            top = float(log_terms.max())
+            self._log_norms[s] = top + math.log(float(np.exp(log_terms - top).sum()))
+        return self._log_norms[s]
+
+
+def _canonical_keys(keys, n: int) -> bool:
+    """True when every key is a canonical index on at most n slots.
+
+    That is a tuple of ``int`` entries (not ``bool``), none negative, the
+    last one nonzero.  Each test is one pass of C-level iteration.
+    """
+    if not keys:
+        return True
+    if set(map(type, keys)) != {tuple} or max(map(len, keys)) > n:
+        return False
+    if not set(map(type, itertools.chain.from_iterable(keys))) <= {int}:
+        return False
+    nonempty = list(filter(None, keys))
+    return min(map(min, nonempty), default=0) >= 0 and 0 not in map(
+        operator.itemgetter(-1), nonempty
+    )
 
 
 def constant(grid: GridSpec, value: float) -> ChaosExpansion:
@@ -288,12 +330,16 @@ def refine(f: ChaosExpansion, n1: int) -> ChaosExpansion:
     fine_grid = GridSpec(f.grid.T, n0 * n1)
     if n1 == 1:
         return ChaosExpansion(fine_grid, dict(f.coeffs))
+    log_factorials = mi.log_factorial_table(f.max_degree())
     out: Dict[MultiIndex, float] = {}
+    # fine sets of distinct coarse indexes are disjoint: no key repeats
     for a, c in f.coeffs.items():
         m = sum(a)
         scale = c * n1 ** (-m / 2.0)
-        for a_fine in mi.enumerate_matching(a, n0, n1):
-            out[a_fine] = out.get(a_fine, 0.0) + scale * _sqrt_factorial_ratio(a, a_fine)
+        table = mi.matching_table(a, n0, n1)
+        log_ratio = 0.5 * (mi.log_factorial(a) - mi.log_factorial_rows(table, log_factorials))
+        out.update(zip(mi.enumerate_matching(a, n0, n1),
+                       [scale * math.exp(x) for x in log_ratio.tolist()]))
     return ChaosExpansion(fine_grid, out)
 
 
@@ -307,8 +353,7 @@ def write_expansion_csv(f: ChaosExpansion, stream, header_lines: Iterable[str] =
         stream.write(f"# {line}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["multiindex", "coefficient"])
-    for a, c in f.items():
-        writer.writerow([mi.format_multiindex(a), format(c, ".17g")])
+    writer.writerows((mi.format_canonical(a), format(c, ".17g")) for a, c in f.items())
 
 
 def read_expansion_csv(stream, grid: GridSpec) -> ChaosExpansion:

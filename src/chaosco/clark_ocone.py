@@ -71,7 +71,10 @@ def decompose(f: ChaosExpansion) -> ClarkOconeDecomposition:
         if not a:
             continue
         ell, m = len(a), a[-1]
-        groups.setdefault((ell, m), {})[a[:-1]] = c
+        head = a[:-1]
+        while head and not head[-1]:  # keep the integrand's keys canonical
+            head = head[:-1]
+        groups.setdefault((ell, m), {})[head] = c
     terms = [
         ClarkOconeTerm(ell, m, ChaosExpansion(f.grid, coeffs))
         for (ell, m), coeffs in sorted(groups.items())
@@ -243,17 +246,15 @@ def error_norm_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> 
     """Upper bound ||F||_{2,s+rn} / (n! N1^n)^{r/2} for the refined error norm.
 
     Evaluated in log space, so that neither (1+|a|)^{s+rn} nor n! N1^n
-    overflows at high orders.
+    overflows at high orders; the norm is computed once per expansion and
+    Sobolev index s + r n.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError("interpolation exponent r must lie in [0, 1]")
     _check_orders(n, n1)
-    degree, _, weight = f.degree_classes
-    if not weight.size:
+    if not f.coeffs:
         return 0.0
-    log_terms = (s + r * n) * np.log1p(degree) + np.log(weight)
-    top = float(log_terms.max())
-    log_norm_sq = top + math.log(float(np.exp(log_terms - top).sum()))
+    log_norm_sq = f.log_sobolev_norm_sq(s + r * n)
     return math.exp(0.5 * (log_norm_sq - r * _log_denominator(n, n1)))
 
 

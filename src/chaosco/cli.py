@@ -209,6 +209,10 @@ def _validate(command: str, cfg: Dict[str, object]) -> None:
         raise ConfigError("max-degree must be non-negative")
     if cfg.get("order_n") is not None and cfg["order_n"] < 1:
         raise ConfigError("order-n must be >= 1")
+    if cfg.get("order_n_list") is not None and any(n < 1 for n in cfg["order_n_list"]):
+        raise ConfigError("order-n-list entries must be >= 1")
+    if cfg.get("cases") is not None and cfg["cases"] < 1:
+        raise ConfigError("cases must be >= 1")
     if cfg.get("interp_r") is not None and not 0.0 <= cfg["interp_r"] <= 1.0:
         raise ConfigError("interp-r must lie in [0, 1]")
     if cfg.get("samples") is not None and cfg["samples"] < 1:
@@ -285,20 +289,19 @@ def cmd_decompose(cfg: Dict[str, object]) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["ell", "m", "multiindex", "coefficient"])
     for term in d.terms:
-        for a, c in term.integrand.items():
-            writer.writerow(
-                [term.ell, term.m, mi.format_multiindex(a), format(c, ".17g")]
-            )
+        writer.writerows(
+            (term.ell, term.m, mi.format_canonical(a), format(c, ".17g"))
+            for a, c in term.integrand.items()
+        )
     _write_atomic(cfg["out"], buf.getvalue())
     return EXIT_OK
 
 
 def _random_expansion(rng: np.random.Generator, grid: GridSpec, max_degree: int) -> ChaosExpansion:
-    coeffs = {
-        a: rng.uniform(-1.0, 1.0)
-        for a in mi.enumerate_upto(grid.N, max_degree)
-    }
-    return ChaosExpansion(grid, coeffs)
+    keys = list(mi.enumerate_upto(grid.N, max_degree))
+    # one draw per key in enumeration order: the same doubles as scalar draws
+    values = rng.uniform(-1.0, 1.0, size=len(keys))
+    return ChaosExpansion(grid, dict(zip(keys, values.tolist())))
 
 
 def cmd_verify_bound(cfg: Dict[str, object]) -> int:
@@ -427,7 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INVALID
     try:
         return _HANDLERS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, mi.IndexSetTooLarge) as exc:
         print(f"chaosco: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ArithmeticError, ValueError, FloatingPointError) as exc:

@@ -10,6 +10,7 @@ those blocks, slot-major, instead of holding every path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -127,14 +128,32 @@ def coeffs_terminal(
     up to max_degree.
     """
     d = hermite_expand_terminal(payoff, grid.T, max_degree)
+    log_factorials = mi.log_factorial_table(max_degree)
+    log_n = math.log(grid.N)
     coeffs: Dict[MultiIndex, float] = {}
-    for a in mi.enumerate_upto(grid.N, max_degree):
-        m = sum(a)
+    for m, keys, table in _degree_tables(grid.N, max_degree):
         if abs(d[m]) <= 0.0:
             continue
-        log_ratio = 0.5 * (math.lgamma(m + 1) - mi.log_factorial(a))
-        coeffs[a] = d[m] * math.exp(log_ratio - 0.5 * m * math.log(grid.N))
+        dm = float(d[m])
+        log_ratio = 0.5 * (log_factorials[m] - mi.log_factorial_rows(table, log_factorials))
+        log_ratio -= 0.5 * m * log_n
+        coeffs.update(zip(keys, [dm * math.exp(x) for x in log_ratio.tolist()]))
     return ChaosExpansion(grid, coeffs)
+
+
+def _degree_tables(dimension: int, max_degree: int):
+    """(m, keys of degree m, composition_table(m, dimension)) for m = 0..max_degree.
+
+    The keys are the stream of ``mi.enumerate_upto`` cut at each degree, in
+    the table's row order; those a caller leaves unread are consumed before
+    the next degree.
+    """
+    stream = mi.enumerate_upto(dimension, max_degree)
+    for m in range(max_degree + 1):
+        table = mi.composition_table(m, dimension)
+        keys = itertools.islice(stream, len(table))
+        yield m, keys, table
+        next(itertools.islice(keys, len(table), len(table)), None)
 
 
 def coeffs_occupation_time(grid: GridSpec, max_degree: int) -> ChaosExpansion:
@@ -146,16 +165,17 @@ def coeffs_occupation_time(grid: GridSpec, max_degree: int) -> ChaosExpansion:
     """
     d = hermite_expand_terminal(DigitalPayoff(0.0), 1.0, max_degree)
     tail_sums = _inverse_power_tail_sums(grid.N, max_degree)
+    log_factorials = mi.log_factorial_table(max_degree)
     coeffs: Dict[MultiIndex, float] = {(): grid.T / 2.0}
-    for a in mi.enumerate_upto(grid.N, max_degree):
-        if not a:
+    for m, keys, table in _degree_tables(grid.N, max_degree):
+        if m == 0 or d[m] == 0.0:
             continue
-        m = sum(a)
-        if d[m] == 0.0:
-            continue
-        ell = len(a)
-        log_ratio = 0.5 * (math.lgamma(m + 1) - mi.log_factorial(a))
-        coeffs[a] = grid.dt * d[m] * math.exp(log_ratio) * tail_sums[m][ell - 1]
+        scale = grid.dt * float(d[m])
+        log_ratio = 0.5 * (log_factorials[m] - mi.log_factorial_rows(table, log_factorials))
+        # the last slot ell of each key picks its tail sum
+        tails = tail_sums[m][mi.row_lengths(table) - 1]
+        coeffs.update(zip(keys, [scale * math.exp(x) * t
+                                 for x, t in zip(log_ratio.tolist(), tails.tolist())]))
     return ChaosExpansion(grid, coeffs)
 
 

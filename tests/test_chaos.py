@@ -1,12 +1,30 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaosco import chaos, hermite
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
+
+#: small, deterministic property runs
+PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
+
+
+def _construct_reference(grid, coeffs):
+    """The canonicalize-and-merge loop every key used to go through."""
+    clean = {}
+    for key, value in coeffs.items():
+        key = mi.canonical(key)
+        if len(key) > grid.N:
+            raise ValueError(f"index {key} needs {len(key)} slots but grid has {grid.N}")
+        value = float(value)
+        if abs(value) > chaos.COEFF_PRUNE:
+            clean[key] = clean.get(key, 0.0) + value
+    return clean
 
 
 def test_gridspec_validation():
@@ -22,6 +40,62 @@ def test_expansion_canonicalizes_and_prunes():
     assert f.coeffs == {(1,): 2.0}
     with pytest.raises(ValueError):
         ChaosExpansion(GridSpec(1.0, 1), {(0, 1): 1.0})
+
+
+_ENTRY = st.one_of(
+    st.integers(0, 3),
+    st.integers(-1, 0),
+    st.booleans(),
+    st.integers(0, 3).map(np.int64),
+    st.sampled_from([0.0, 1.0, 2.0]),
+)
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.lists(_ENTRY, max_size=4).map(tuple),
+                    st.sampled_from([1.0, -0.5, 1e-15, 3]), max_size=6),
+    st.integers(1, 4),
+)
+def test_expansion_bulk_key_check_matches_canonical_loop(coeffs, n):
+    # trailing zeros, bools, numpy and float entries, negative entries,
+    # overlong and merging keys: the same dict or the same error
+    grid = GridSpec(1.0, n)
+    try:
+        expected = _construct_reference(grid, coeffs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            ChaosExpansion(grid, coeffs)
+        return
+    got = ChaosExpansion(grid, coeffs).coeffs
+    assert list(got.items()) == list(expected.items())
+    assert all(type(x) is int for a in got for x in a)
+
+
+def test_expansion_bulk_key_check_cases():
+    g = GridSpec(1.0, 3)
+    assert ChaosExpansion(g, {(1, 0): 2.0, (1,): 1.0}).coeffs == {(1,): 3.0}
+    assert list(ChaosExpansion(g, {(True,): 2.0}).coeffs) == [(1,)]
+    assert type(next(iter(ChaosExpansion(g, {(np.int64(2),): 1.0}).coeffs))[0]) is int
+    assert ChaosExpansion(g, {(2.0, 1): 1.0}).coeffs == {(2, 1): 1.0}
+    with pytest.raises(ValueError, match="non-negative"):
+        ChaosExpansion(g, {(1, -1): 1.0})
+    with pytest.raises(ValueError, match="needs 4 slots"):
+        ChaosExpansion(g, {(0, 0, 0, 1): 1.0})
+    # trailing zeros past the grid are trimmed, as before
+    assert ChaosExpansion(g, {(1, 0, 0, 0): 1.0}).coeffs == {(1,): 1.0}
+    assert ChaosExpansion(g, {}).coeffs == {}
+    assert ChaosExpansion(g, {(): 0.5, (0, 2): 1e-15}).coeffs == {(): 0.5}
+
+
+def test_log_sobolev_norm_sq_memo():
+    g = GridSpec(1.0, 2)
+    f = ChaosExpansion(g, {(): 2.0, (1,): 0.5, (0, 3): -1.0})
+    for s in (0.0, 1.5, 40.0):
+        direct = math.log(sum((1 + sum(a)) ** s * c * c for a, c in f.coeffs.items()))
+        assert f.log_sobolev_norm_sq(s) == pytest.approx(direct, rel=1e-14)
+        assert f.log_sobolev_norm_sq(s) == f.log_sobolev_norm_sq(s)
+    assert sorted(f._log_norms) == [0.0, 1.5, 40.0]
 
 
 def test_sobolev_norm_examples():
@@ -209,6 +283,37 @@ def test_refine_examples_and_isometry():
             a = mi.coarsen(a_fine, 2, n1)
             expect = rand.coeffs[a] * chaos.coarse_fine_hs(a, a_fine, 2, n1)
             assert c == pytest.approx(expect, abs=1e-13)
+
+
+def _refine_reference(f, n1):
+    """The per-fine-index loop the matching tables replaced."""
+    n0 = f.grid.N
+    out = {}
+    for a, c in f.coeffs.items():
+        m = sum(a)
+        scale = c * n1 ** (-m / 2.0)
+        for a_fine in mi.enumerate_matching(a, n0, n1):
+            out[a_fine] = out.get(a_fine, 0.0) + scale * chaos._sqrt_factorial_ratio(a, a_fine)
+    return ChaosExpansion(GridSpec(f.grid.T, n0 * n1), out)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(0, 6), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_refine_bit_equal_to_loop(n0, max_degree, n1, seed):
+    rng = np.random.default_rng(seed)
+    keys = [a for a in mi.enumerate_upto(n0, max_degree) if rng.random() < 0.7]
+    rng.shuffle(keys)  # insertion order is kept, whatever it is
+    f = ChaosExpansion(GridSpec(1.0, n0), {a: rng.uniform(-1, 1) for a in keys})
+    got = chaos.refine(f, n1)
+    assert list(got.coeffs.items()) == list(_refine_reference(f, n1).coeffs.items())
+
+
+def test_refine_digital_bit_equal_to_loop():
+    from chaosco import montecarlo as mc
+
+    coarse = mc.coeffs_terminal(mc.DigitalPayoff(0.0), GridSpec(1.0, 4), 9)
+    got = chaos.refine(coarse, 2)
+    assert list(got.coeffs.items()) == list(_refine_reference(coarse, 2).coeffs.items())
 
 
 def test_refine_preserves_distribution_pathwise():

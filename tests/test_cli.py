@@ -269,6 +269,24 @@ def test_invalid_configuration_exit_codes(tmp_path):
     )
     assert main(["expand", "--payoff", "poly:1", "--config", str(tmp_path / "missing.json")]) == EXIT_INVALID
     assert main(["no-such-command"]) == EXIT_INVALID
+    assert main(["verify-bound", "--payoff", "poly:0,0,1", "--order-n-list", "0"]) == EXIT_INVALID
+    assert main(["verify-bound", "--payoff", "random", "--cases", "-3"]) == EXIT_INVALID
+    assert main(["verify-bound", "--payoff", "random", "--cases", "0"]) == EXIT_INVALID
+
+
+def test_oversized_index_set_refused_before_allocating(tmp_path, capsys):
+    # C(76, 12) ~ 1.7e13 indexes on 64 slots: refused at once, naming the size
+    out = tmp_path / "big.csv"
+    argv = ["expand", "--payoff", "digital:0", "--N0", "64", "--max-degree", "12",
+            "--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert str(math.comb(76, 12)) + " indexes" in err and "bytes" in err
+    assert not out.exists()
+    code, peak_mb = _child_peak_rss(["-m", "chaosco.cli", *argv])
+    assert code == EXIT_INVALID
+    assert peak_mb < 64.0
 
 
 def test_atomic_write_no_partial_files(tmp_path):
@@ -291,16 +309,48 @@ def test_cli_import_does_not_load_scipy():
     )
 
 
+#: spawns its arguments and prints their exit code and peak RSS in KiB
+_LAUNCHER = """
+import os, sys
+pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _child_peak_rss(args):
+    """Exit code and peak RSS in MB of ``python args``, spawned from a bare interpreter.
+
+    A child started by vfork and exec starts from its parent's RSS high-water
+    mark, so a child spawned from the test process would report at least the
+    test process's peak.  The bare launcher stays far below every bound.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, *args],
+                            env=env, capture_output=True, text=True, check=True, timeout=120)
+    code, kib = result.stdout.split()
+    return int(code), int(kib) / 1024.0
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_simulate_hedge_peak_memory(tmp_path):
     # the hedge streams one 4096-path block per thread; the whole
     # 50000 x 256 batch alone would be 102 MB
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    argv = [sys.executable, "-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0",
-            "--N-list", "256", "--samples", "50000", "--out", str(tmp_path / "hedge.csv")]
-    pid = os.posix_spawn(sys.executable, argv, env)
-    _, status, usage = os.wait4(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == EXIT_OK
-    assert usage.ru_maxrss / 1024.0 < 100.0
+    code, peak_mb = _child_peak_rss(
+        ["-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0", "--N-list", "256",
+         "--samples", "50000", "--out", str(tmp_path / "hedge.csv")])
+    assert code == EXIT_OK
+    assert peak_mb < 100.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_expand_peak_memory(tmp_path):
+    # 125,970 indexes: the composition tables are built one degree at a time
+    # and turned into tuples 4096 rows at a time
+    code, peak_mb = _child_peak_rss(
+        ["-m", "chaosco.cli", "expand", "--payoff", "digital:0", "--N0", "8",
+         "--max-degree", "12", "--out", str(tmp_path / "expand.csv")])
+    assert code == EXIT_OK
+    assert peak_mb < 64.0

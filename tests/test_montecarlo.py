@@ -3,9 +3,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaosco import chaos, clark_ocone as co, hermite, montecarlo as mc
+from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
+
+#: small, deterministic property runs
+PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
 
 def test_polynomial_payoff():
@@ -97,6 +102,72 @@ def test_coeffs_occupation_time():
     assert f.coeffs[(1,)] == pytest.approx(0.5 * d1 * (1 + 1 / math.sqrt(2)))
     assert f.coeffs[(0, 1)] == pytest.approx(0.5 * d1 / math.sqrt(2))
     assert (2,) not in f.coeffs  # even digital coefficients vanish at zero strike
+
+
+def _coeffs_terminal_reference(payoff, grid, max_degree):
+    """The per-index loop the degree tables replaced."""
+    d = mc.hermite_expand_terminal(payoff, grid.T, max_degree)
+    coeffs = {}
+    for a in mi.enumerate_upto(grid.N, max_degree):
+        m = sum(a)
+        if abs(d[m]) <= 0.0:
+            continue
+        log_ratio = 0.5 * (math.lgamma(m + 1) - mi.log_factorial(a))
+        coeffs[a] = d[m] * math.exp(log_ratio - 0.5 * m * math.log(grid.N))
+    return ChaosExpansion(grid, coeffs)
+
+
+def _coeffs_occupation_reference(grid, max_degree):
+    d = mc.hermite_expand_terminal(mc.DigitalPayoff(0.0), 1.0, max_degree)
+    tail_sums = mc._inverse_power_tail_sums(grid.N, max_degree)
+    coeffs = {(): grid.T / 2.0}
+    for a in mi.enumerate_upto(grid.N, max_degree):
+        if not a:
+            continue
+        m = sum(a)
+        if d[m] == 0.0:
+            continue
+        log_ratio = 0.5 * (math.lgamma(m + 1) - mi.log_factorial(a))
+        coeffs[a] = grid.dt * d[m] * math.exp(log_ratio) * tail_sums[m][len(a) - 1]
+    return ChaosExpansion(grid, coeffs)
+
+
+_PAYOFFS = st.sampled_from([
+    mc.DigitalPayoff(0.0),
+    mc.DigitalPayoff(0.5),
+    mc.PolynomialPayoff((0.0, 0.0, 1.0)),
+    mc.PolynomialPayoff((1.0, -2.0, 0.0, 0.5, 0.25)),
+])
+
+
+@PROPERTY
+@given(_PAYOFFS, st.integers(1, 6), st.integers(0, 9), st.sampled_from([0.5, 1.0, 2.0]))
+def test_coeffs_terminal_bit_equal_to_loop(payoff, n, max_degree, horizon):
+    grid = GridSpec(horizon, n)
+    got = mc.coeffs_terminal(payoff, grid, max_degree)
+    # same keys, same insertion order, same doubles
+    assert list(got.coeffs.items()) == list(
+        _coeffs_terminal_reference(payoff, grid, max_degree).coeffs.items()
+    )
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.integers(0, 10), st.sampled_from([0.5, 1.0, 3.0]))
+def test_coeffs_occupation_time_bit_equal_to_loop(n, max_degree, horizon):
+    grid = GridSpec(horizon, n)
+    got = mc.coeffs_occupation_time(grid, max_degree)
+    assert list(got.coeffs.items()) == list(
+        _coeffs_occupation_reference(grid, max_degree).coeffs.items()
+    )
+
+
+def test_coeffs_terminal_high_degree_bit_equal_to_loop():
+    for payoff, grid, degree in [(mc.DigitalPayoff(0.0), GridSpec(1.0, 1), 400),
+                                 (mc.DigitalPayoff(0.5), GridSpec(1.0, 2), 60),
+                                 (mc.DigitalPayoff(0.0), GridSpec(1.0, 8), 8)]:
+        got = mc.coeffs_terminal(payoff, grid, degree)
+        ref = _coeffs_terminal_reference(payoff, grid, degree)
+        assert list(got.coeffs.items()) == list(ref.coeffs.items())
 
 
 def test_coeffs_occupation_time_vs_monte_carlo():

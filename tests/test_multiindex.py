@@ -1,8 +1,41 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaosco import multiindex as mi
+
+#: small, deterministic property runs
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+
+def _compositions(total, parts):
+    """Reference: the stars-and-bars generator the composition tables replaced."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cut in itertools.combinations(range(total + parts - 1), parts - 1):
+        prev = -1
+        out = []
+        for c in cut:
+            out.append(c - prev - 1)
+            prev = c
+        out.append(total + parts - 2 - prev)
+        yield tuple(out)
+
+
+def _enumerate_upto_reference(dimension, max_degree):
+    for deg in range(max_degree + 1):
+        yield from sorted(mi.canonical(c) for c in _compositions(deg, dimension))
+
+
+def _enumerate_matching_reference(a_coarse, n0, n1):
+    padded = a_coarse + (0,) * (n0 - len(a_coarse))
+    for blocks in itertools.product(*[_compositions(ai, n1) for ai in padded]):
+        yield mi.canonical(itertools.chain.from_iterable(blocks))
 
 
 def test_canonical_trims_trailing_zeros():
@@ -106,3 +139,66 @@ def test_text_round_trip():
         assert mi.parse_multiindex(mi.format_multiindex(a)) == a
     assert mi.format_multiindex(()) == "()"
     assert mi.parse_multiindex("") == ()
+
+
+@PROPERTY
+@given(st.integers(0, 9), st.integers(0, 6))
+def test_composition_table_matches_reference(total, parts):
+    table = mi.composition_table(total, parts)
+    assert table.tolist() == [list(c) for c in _compositions(total, parts)]
+    assert table.shape == (len(table), parts)
+    assert table.dtype == np.int8
+    assert not table.flags.writeable
+    assert mi.composition_table(total, parts) is table
+
+
+def test_composition_table_wide_entries():
+    assert mi.composition_table(300, 1).tolist() == [[300]]
+    assert mi.composition_table(300, 1).dtype == np.int16
+    table = mi.composition_table(130, 2)
+    assert table.dtype == np.int16
+    assert table.tolist() == [[f, 130 - f] for f in range(131)]
+    # more parts than the recursion limit allows frames: built bottom-up
+    table = mi.composition_table(1, 1500)
+    assert np.array_equal(table, np.eye(1500, dtype=np.int8)[::-1])
+
+
+@PROPERTY
+@given(st.integers(0, 5), st.integers(0, 7))
+def test_enumerate_upto_matches_reference(dimension, max_degree):
+    got = list(mi.enumerate_upto(dimension, max_degree))
+    assert got == list(_enumerate_upto_reference(dimension, max_degree))
+    assert all(type(x) is int for a in got for x in a)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 4), max_size=3), st.integers(0, 2), st.integers(1, 3))
+def test_enumerate_matching_matches_reference(entries, extra_slots, n1):
+    a = mi.canonical(entries)
+    n0 = len(entries) + extra_slots
+    got = list(mi.enumerate_matching(a, n0, n1))
+    assert got == list(_enumerate_matching_reference(a, n0, n1))
+    table = mi.matching_table(a, n0, n1)
+    assert table.shape == (len(got), n0 * n1)
+    assert mi.row_lengths(table).tolist() == [len(af) for af in got]
+
+
+def test_log_factorial_rows_bit_equal():
+    log_factorials = mi.log_factorial_table(9)
+    for total, parts in [(0, 3), (5, 1), (9, 4), (7, 6)]:
+        table = mi.composition_table(total, parts)
+        rows = mi.log_factorial_rows(table, log_factorials)
+        assert rows.tolist() == [mi.log_factorial(mi.canonical(r)) for r in table.tolist()]
+
+
+def test_index_set_size_guard():
+    # C(76, 12) indexes on 64 slots: refused before the first row is built
+    stream = mi.enumerate_upto(64, 12)
+    with pytest.raises(mi.IndexSetTooLarge, match="bytes"):
+        next(stream)
+    with pytest.raises(mi.IndexSetTooLarge):
+        mi.composition_table(12, 64)
+    with pytest.raises(mi.IndexSetTooLarge):
+        mi.matching_table((12, 12, 12), 3, 64)
+    with pytest.raises(ValueError):
+        mi.composition_table(-1, 2)
