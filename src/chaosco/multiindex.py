@@ -5,6 +5,12 @@ with trailing zeros removed.  The empty tuple is the zero index.  Multi-indexes
 select Hermite orders per increment slot of a uniform time grid; a fine-grid
 index matches a coarse one when each coarse entry equals the sum of its block
 of N1 fine entries.
+
+Index sets are held as tables: read-only integer arrays with one row per
+index, padded with zeros to the number of slots.  The enumerators stream a
+table's rows as canonical tuples, and coefficient code reads the same tables
+to compute a whole degree (or matching set) at once.  A table's size is
+checked before it is allocated.
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ def composition_table(total: int, parts: int) -> np.ndarray:
     One row per composition, C(total + parts - 1, parts - 1) rows in
     lexicographic order, as a read-only int8/int16 array shared by every
     caller.  The size is checked before anything is allocated; building it
-    holds at most about twice its size.
+    takes a few integer arrays with one entry per row besides the table.
     """
     if total < 0 or parts < 0:
         raise ValueError(f"composition table needs total, parts >= 0: {total}, {parts}")
