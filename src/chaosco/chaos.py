@@ -108,8 +108,18 @@ class ChaosExpansion:
         return degree, last, weight
 
     @cached_property
-    def _log_norms(self) -> Dict[float, float]:
+    def _by_sobolev_index(self) -> Dict[Tuple[str, float], object]:
+        """Results of the two methods below, by method and s."""
         return {}
+
+    def class_weights(self, s: float) -> np.ndarray:
+        """(1 + |a|)^s for each degree class, read-only and remembered per s."""
+        key = ("weights", s)
+        if key not in self._by_sobolev_index:
+            weights = (1.0 + self.degree_classes[0]) ** s
+            weights.flags.writeable = False
+            self._by_sobolev_index[key] = weights
+        return self._by_sobolev_index[key]
 
     def log_sobolev_norm_sq(self, s: float) -> float:
         """log ||F||_{2,s}^2 from the degree classes, remembered per s.
@@ -117,12 +127,13 @@ class ChaosExpansion:
         Summed in log space, so (1+|a|)^s does not overflow at large s.
         The zero expansion has no classes; callers handle it first.
         """
-        if s not in self._log_norms:
+        key = ("log_norm_sq", s)
+        if key not in self._by_sobolev_index:
             degree, _, weight = self.degree_classes
             log_terms = s * np.log1p(degree) + np.log(weight)
             top = float(log_terms.max())
-            self._log_norms[s] = top + math.log(float(np.exp(log_terms - top).sum()))
-        return self._log_norms[s]
+            self._by_sobolev_index[key] = top + math.log(float(np.exp(log_terms - top).sum()))
+        return self._by_sobolev_index[key]
 
 
 def _canonical_keys(keys, n: int) -> bool:

@@ -238,8 +238,9 @@ def err_norm_refined(f: ChaosExpansion, n: int, n1: int, s: float) -> float:
     degree, last, weight = f.degree_classes
     if not last.size:
         return 0.0
-    table = _tail_mass_table(n, n1, _table_size(int(last.max())))
-    return math.sqrt(float(weight @ ((1.0 + degree) ** s * table[last])))
+    # classes are sorted by degree, and no last entry exceeds its degree
+    table = _tail_mass_table(n, n1, _table_size(int(degree[-1])))
+    return math.sqrt(float(weight @ (f.class_weights(s) * table[last])))
 
 
 def error_norm_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> float:

@@ -7,7 +7,7 @@ Parameter precedence is flag > environment (CHAOSCO_<NAME>) > config file
 temporary file and an atomic rename so partial outputs never appear.
 
 Exit codes: 0 success, 1 numerical failure (or failed bound rows), 2 invalid
-configuration.
+configuration, including an index set too large to build.
 """
 
 from __future__ import annotations

@@ -241,9 +241,18 @@ def format_multiindex(a: MultiIndex) -> str:
     return format_canonical(canonical(a))
 
 
+#: decimal text of the entries written most often
+_ENTRY_TEXT = tuple(map(str, range(128)))
+
+
 def format_canonical(a: MultiIndex) -> str:
     """:func:`format_multiindex` of an index already in canonical form."""
-    return ",".join(map(str, a)) if a else "()"
+    if not a:
+        return "()"
+    try:
+        return ",".join(map(_ENTRY_TEXT.__getitem__, a))
+    except IndexError:
+        return ",".join(map(str, a))
 
 
 def parse_multiindex(text: str) -> MultiIndex:

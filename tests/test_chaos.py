@@ -88,14 +88,17 @@ def test_expansion_bulk_key_check_cases():
     assert ChaosExpansion(g, {(): 0.5, (0, 2): 1e-15}).coeffs == {(): 0.5}
 
 
-def test_log_sobolev_norm_sq_memo():
+def test_sobolev_index_memos():
     g = GridSpec(1.0, 2)
     f = ChaosExpansion(g, {(): 2.0, (1,): 0.5, (0, 3): -1.0})
+    degree = f.degree_classes[0]
     for s in (0.0, 1.5, 40.0):
         direct = math.log(sum((1 + sum(a)) ** s * c * c for a, c in f.coeffs.items()))
         assert f.log_sobolev_norm_sq(s) == pytest.approx(direct, rel=1e-14)
         assert f.log_sobolev_norm_sq(s) == f.log_sobolev_norm_sq(s)
-    assert sorted(f._log_norms) == [0.0, 1.5, 40.0]
+        weights = f.class_weights(s)
+        assert weights is f.class_weights(s) and not weights.flags.writeable
+        assert weights.tolist() == ((1.0 + degree) ** s).tolist()
 
 
 def test_sobolev_norm_examples():
