@@ -81,9 +81,14 @@ class ChaosExpansion:
     def mean(self) -> float:
         return self.coeffs.get((), 0.0)
 
-    def items(self):
+    def items(self) -> Tuple[Tuple[MultiIndex, float], ...]:
         """Coefficient entries in deterministic (graded lexicographic) order."""
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return self._graded_items
+
+    @cached_property
+    def _graded_items(self) -> Tuple[Tuple[MultiIndex, float], ...]:
+        """``items()``, sorted once and kept with the expansion."""
+        return tuple(sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
     def max_degree(self) -> int:
         return max((sum(a) for a in self.coeffs), default=0)
@@ -183,15 +188,24 @@ def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != f.grid.N:
         raise ValueError(f"expected {f.grid.N} increments, got {xi.shape[-1]}")
-    # slot-major, so that every table[order, slot] is one contiguous run
-    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0))
-    table = hermite.eval_all(f.max_degree(), slots)  # (order, slot, ...)
+    terms = f.items()
+    # graded order ends at the top degree; the table covers only the slots
+    # some key reaches, and is slot-major so every table[order, slot] is one
+    # contiguous run
+    degree = sum(terms[-1][0]) if terms else 0
+    reach = max(map(len, f.coeffs), default=0)
+    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0)[:reach])
+    table = hermite.eval_all(degree, slots)  # (order, slot, ...)
     out = np.zeros(xi.shape[:-1])
-    for a, c in f.items():
-        term = np.full(xi.shape[:-1], c)
-        for slot, order in enumerate(a):
-            if order:
-                term *= table[order, slot]
+    term = np.empty(xi.shape[:-1])
+    for a, c in terms:
+        factors = [table[order, slot] for slot, order in enumerate(a) if order]
+        if not factors:
+            out += c
+            continue
+        np.multiply(c, factors[0], out=term)
+        for factor in factors[1:]:
+            term *= factor
         out += term
     return float(out) if out.ndim == 0 else out
 

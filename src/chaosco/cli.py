@@ -37,7 +37,7 @@ from .montecarlo import (
     payoff_label,
     rate_sweep,
     sample_paths,
-    tracking_error_hedge,
+    tracking_error_hedges,
 )
 
 ENV_PREFIX = "CHAOSCO_"
@@ -63,12 +63,17 @@ def parse_payoff(text: str):
             raise ConfigError(f"bad polynomial coefficients in {text!r}") from exc
         if not coeffs:
             raise ConfigError("polynomial payoff needs at least one coefficient")
+        if not all(map(math.isfinite, coeffs)):
+            raise ConfigError(f"polynomial coefficients must be finite in {text!r}")
         return PolynomialPayoff(coeffs)
     if text.startswith("digital:"):
         try:
-            return DigitalPayoff(float(text[len("digital:") :]))
+            strike = float(text[len("digital:") :])
         except ValueError as exc:
             raise ConfigError(f"bad digital strike in {text!r}") from exc
+        if not math.isfinite(strike):
+            raise ConfigError(f"digital strike must be finite in {text!r}")
+        return DigitalPayoff(strike)
     raise ConfigError(f"unknown payoff spec {text!r}")
 
 
@@ -201,8 +206,13 @@ def resolve_config(command: str, args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _validate(command: str, cfg: Dict[str, object]) -> None:
-    if cfg.get("T") is not None and cfg["T"] <= 0:
-        raise ConfigError("T must be positive")
+    if cfg.get("T") is not None and not (math.isfinite(cfg["T"]) and cfg["T"] > 0):
+        raise ConfigError("T must be positive and finite")
+    if cfg.get("sobolev_s") is not None and not math.isfinite(cfg["sobolev_s"]):
+        raise ConfigError("sobolev-s must be finite")
+    slist = cfg.get("sobolev_s_list")
+    if slist is not None and not all(map(math.isfinite, slist)):
+        raise ConfigError("sobolev-s-list entries must be finite")
     if cfg.get("N0") is not None and cfg["N0"] < 1:
         raise ConfigError("N0 must be >= 1")
     if cfg.get("max_degree") is not None and cfg["max_degree"] < 0:
@@ -393,13 +403,15 @@ def cmd_simulate_hedge(cfg: Dict[str, object]) -> int:
         ):
             writer.writerow([n_steps, format(err, ".17g"), format(0.0, ".17g")])
     else:
-        for n_steps in cfg["N_list"]:
-            grid = GridSpec(cfg["T"], n_steps)
-            batch = sample_paths(grid, cfg["samples"], cfg["seed"], cfg["workers"])
-            result = tracking_error_hedge(payoff, grid, batch)
+        # one batch per N, all hedged from one sampling pass at the largest N
+        batches = [
+            sample_paths(GridSpec(cfg["T"], n_steps), cfg["samples"], cfg["seed"], cfg["workers"])
+            for n_steps in cfg["N_list"]
+        ]
+        for batch, result in zip(batches, tracking_error_hedges(payoff, batches)):
             writer.writerow(
                 [
-                    n_steps,
+                    batch.grid.N,
                     format(result.estimate, ".17g"),
                     format(result.std_error, ".17g"),
                 ]

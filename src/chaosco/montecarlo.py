@@ -291,31 +291,40 @@ def _run_lanes(lane: Callable[[int, int], None], lanes: int) -> None:
 
 
 def _map_blocks(
-    batch: PathBatch, fn: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """fn over the batch one SAMPLE_BLOCK of paths at a time, in sample order.
+    batches: Sequence[PathBatch], fns: Sequence[Callable[[np.ndarray], np.ndarray]]
+) -> List[np.ndarray]:
+    """fns[i] over batches[i], one SAMPLE_BLOCK of paths at a time, in sample order.
 
-    Each block is sampled into a row-major buffer, exactly as ``increments``
-    holds it, then copied into a C-contiguous slot-major (N, rows) buffer that
-    fn receives; fn returns one value per path.  Each thread reuses one pair
-    of buffers, so memory does not grow with n_samples beyond the result.
+    The batches share seed, sample count and workers, so block b of each is
+    the same Philox stream cut to its own grid: it is sampled once, row-major
+    at the largest N, and every batch reads its rows from a prefix of it.
+    That prefix is copied into a C-contiguous slot-major (N, rows) buffer
+    that fn receives; fn returns one value per path.  Each thread reuses one
+    pair of buffers, so memory does not grow with n_samples beyond the results.
     """
-    n, slots = batch.n_samples, batch.grid.N
-    out = np.empty(n)
-    size = min(n, SAMPLE_BLOCK) * slots
+    first = batches[0]
+    shared = (first.seed, first.n_samples, first.workers)
+    if any((b.seed, b.n_samples, b.workers) != shared for b in batches):
+        raise ValueError("path batches must share seed, n_samples and workers")
+    n, n_blocks = first.n_samples, first.n_blocks
+    max_slots = max(b.grid.N for b in batches)
+    outs = [np.empty(n) for _ in batches]
+    size = min(n, SAMPLE_BLOCK) * max_slots
 
-    def lane(first: int, lanes: int) -> None:
-        row_buffer, slot_buffer = np.empty(size), np.empty(size)
-        for b in range(first, batch.n_blocks, lanes):
+    def lane(first_block: int, lanes: int) -> None:
+        stream, slot_buffer = np.empty(size), np.empty(size)
+        for b in range(first_block, n_blocks, lanes):
             lo, hi = _block_bounds(b, n)
-            rows = row_buffer[: (hi - lo) * slots].reshape(hi - lo, slots)
-            _sample_block(batch.seed, b, rows)
-            xi = slot_buffer[: (hi - lo) * slots].reshape(slots, hi - lo)
-            np.copyto(xi, rows.T)
-            out[lo:hi] = fn(xi)
+            rows = hi - lo
+            _sample_block(first.seed, b, stream[: rows * max_slots])
+            for batch, fn, out in zip(batches, fns, outs):
+                slots = batch.grid.N
+                xi = slot_buffer[: rows * slots].reshape(slots, rows)
+                np.copyto(xi, stream[: rows * slots].reshape(rows, slots).T)
+                out[lo:hi] = fn(xi)
 
-    _run_lanes(lane, _pool_size(batch.workers, batch.n_blocks))
-    return out
+    _run_lanes(lane, _pool_size(first.workers, n_blocks))
+    return outs
 
 
 def sample_paths(
@@ -324,9 +333,12 @@ def sample_paths(
     """Deterministic batch of standardized normal increments.
 
     Generation happens in fixed SAMPLE_BLOCK-row blocks keyed by (seed, block
-    index), so every result is independent of the worker count.  Nothing is
-    sampled here: estimators stream the blocks, and ``increments`` builds the
-    full array on demand.
+    index), so every result is independent of the worker count.  Each block
+    is filled row-major from its own stream, so block b on N slots holds the
+    first rows * N normals of block b on any larger grid with the same seed
+    and sample count: one sampling pass serves a whole list of grids.
+    Nothing is sampled here: estimators stream the blocks, and
+    ``increments`` builds the full array on demand.
     """
     return PathBatch(grid, n_samples, seed, workers)
 
@@ -358,7 +370,7 @@ def mc_err_norm(f: ChaosExpansion, n: int, batch: PathBatch) -> McEstimate:
     tail = err_tail(f, n)
     if not tail.coeffs:
         return McEstimate(0.0, 0.0)
-    return _l2_of_samples(_map_blocks(batch, lambda xi: evaluate(tail, xi.T)))
+    return _l2_of_samples(_map_blocks([batch], [lambda xi: evaluate(tail, xi.T)])[0])
 
 
 def _conditional_delta(
@@ -403,31 +415,47 @@ def tracking_error_hedge(
     Pathwise residual F - E[F] - sum_l E[D_{t_l}F | F_{t_{l-1}}] dW_l with the
     conditional delta evaluated analytically at each rebalancing time.
     """
-    if isinstance(payoff, OccupationTimePayoff):
-        raise TypeError("tracking-error hedging requires a terminal payoff")
     if batch.grid != grid:
         raise ValueError("path batch grid does not match the requested grid")
-    sqrt_dt = math.sqrt(grid.dt)
-    mean = float(hermite_expand_terminal(payoff, grid.T, 0)[0])
+    return tracking_error_hedges(payoff, [batch])[0]
+
+
+def tracking_error_hedges(
+    payoff: TerminalPayoff, batches: Sequence[PathBatch]
+) -> List[McEstimate]:
+    """:func:`tracking_error_hedge` on each batch's grid, from one sampling pass.
+
+    The batches share seed, sample count and workers (see ``_map_blocks``);
+    each estimate is bit-equal to the one its batch gives on its own.
+    """
+    if isinstance(payoff, OccupationTimePayoff):
+        raise TypeError("tracking-error hedging requires a terminal payoff")
     delta = _conditional_delta(payoff)
 
-    def hedge(xi: np.ndarray) -> np.ndarray:
-        # one slot at a time, in the order np.cumsum adds: W_T first, for F,
-        # then W_{t_{l-1}} running alongside the hedge
-        w = sqrt_dt * xi[0]
-        for slot in range(1, grid.N):
-            w += sqrt_dt * xi[slot]
-        residual = _terminal_value(payoff, w) - mean
-        w = np.zeros(xi.shape[1])
-        for ell in range(1, grid.N + 1):
-            residual_var = grid.T - (ell - 1) * grid.dt
-            dw = sqrt_dt * xi[ell - 1]
-            residual -= delta(w, residual_var) * dw
-            w += dw
-        return residual
+    def hedge_on(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
+        sqrt_dt = math.sqrt(grid.dt)
+        mean = float(hermite_expand_terminal(payoff, grid.T, 0)[0])
 
+        def hedge(xi: np.ndarray) -> np.ndarray:
+            # one slot at a time, in the order np.cumsum adds: W_T first, for
+            # F, then W_{t_{l-1}} running alongside the hedge
+            w = sqrt_dt * xi[0]
+            for slot in range(1, grid.N):
+                w += sqrt_dt * xi[slot]
+            residual = _terminal_value(payoff, w) - mean
+            w = np.zeros(xi.shape[1])
+            for ell in range(1, grid.N + 1):
+                residual_var = grid.T - (ell - 1) * grid.dt
+                dw = sqrt_dt * xi[ell - 1]
+                residual -= delta(w, residual_var) * dw
+                w += dw
+            return residual
+
+        return hedge
+
+    residuals = _map_blocks(batches, [hedge_on(batch.grid) for batch in batches])
     # reduced over the whole vector: per-block sums would change the last bits
-    return _l2_of_samples(_map_blocks(batch, hedge))
+    return [_l2_of_samples(r) for r in residuals]
 
 
 def occupation_value(batch: PathBatch) -> np.ndarray:
@@ -438,7 +466,7 @@ def occupation_value(batch: PathBatch) -> np.ndarray:
         w = np.cumsum(sqrt_dt * xi, axis=0)
         return (w >= 0.0).sum(axis=0) * batch.grid.dt
 
-    return _map_blocks(batch, occupation)
+    return _map_blocks([batch], [occupation])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,12 @@ def test_evaluate_slot_major_bit_equal():
     mixed = ChaosExpansion(
         g, {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(3, 5) if rng.random() < 0.6}
     )
-    for f in (chaos.constant(g, 1.25), mixed):
+    # the projection's keys reach only the first slot of three
+    partial = chaos.conditional_expectation(mixed, 1)
+    assert max(map(len, partial.coeffs)) == 1
+    for f in (chaos.constant(g, 1.25), ChaosExpansion(g, {}), mixed, partial):
+        assert f.items() is f.items()
+        assert list(f.items()) == sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         single = rng.standard_normal(3)
         value = chaos.evaluate(f, single)
         assert isinstance(value, float) and value == _evaluate_per_term(f, single)

@@ -230,6 +230,20 @@ def test_simulate_hedge_terminal_and_worker_independence(tmp_path):
     assert out1.read_bytes() == out4.read_bytes()
 
 
+def test_simulate_hedge_rows_match_single_grid_runs(tmp_path):
+    # one sampling pass for the whole N-list: each row is the row that N
+    # gives when run on its own
+    base = ["simulate-hedge", "--payoff", "digital:0", "--samples", "5000", "--seed", "3"]
+    out = tmp_path / "list.csv"
+    assert main(base + ["--N-list", "4,16,64", "--out", str(out)]) == EXIT_OK
+    rows = out.read_text().splitlines()[-3:]
+    for n_steps, row in zip(("4", "16", "64"), rows):
+        single = tmp_path / f"n{n_steps}.csv"
+        assert main(base + ["--N-list", n_steps, "--out", str(single)]) == EXIT_OK
+        assert single.read_text().splitlines()[-1] == row
+        assert row.startswith(n_steps + ",")
+
+
 def test_config_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"payoff": "poly:5", "max_degree": 2}))
@@ -272,6 +286,20 @@ def test_invalid_configuration_exit_codes(tmp_path):
     assert main(["verify-bound", "--payoff", "poly:0,0,1", "--order-n-list", "0"]) == EXIT_INVALID
     assert main(["verify-bound", "--payoff", "random", "--cases", "-3"]) == EXIT_INVALID
     assert main(["verify-bound", "--payoff", "random", "--cases", "0"]) == EXIT_INVALID
+    # non-finite numbers
+    out = tmp_path / "nonfinite.csv"
+    for argv in (
+        ["verify-bound", "--payoff", "poly:0,0,1", "--T", "nan", "--sobolev-s-list", "nan"],
+        ["verify-bound", "--payoff", "poly:0,0,1", "--sobolev-s-list", "0,nan"],
+        ["verify-bound", "--payoff", "poly:0,0,1", "--T", "inf"],
+        ["rate-sweep", "--payoff", "poly:0,0,1", "--sobolev-s", "inf"],
+        ["expand", "--payoff", "digital:nan"],
+        ["expand", "--payoff", "poly:inf"],
+        ["expand", "--payoff", "poly:1,nan"],
+        ["simulate-hedge", "--payoff", "digital:nan", "--samples", "100"],
+    ):
+        assert main(argv + ["--out", str(out)]) == EXIT_INVALID
+        assert not out.exists()
 
 
 def test_oversized_index_set_refused_before_allocating(tmp_path, capsys):

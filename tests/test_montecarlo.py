@@ -302,6 +302,70 @@ def _check_streamed_against_materialized():
             assert np.array_equal(batch.increments, serial.increments)
 
 
+def test_tracking_error_hedges_share_one_stream(monkeypatch):
+    # one sampling pass for a list of grids gives, grid by grid, the estimate
+    # of that grid's own pass, at every worker count and block remainder
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n_list in ([1, 3, 16], [5]):
+            for n_samples in (100, 3 * mc.SAMPLE_BLOCK + 17):
+                for workers in (1, 2, 4):
+                    batches = [mc.sample_paths(GridSpec(1.0, n), n_samples, 9, workers)
+                               for n in n_list]
+                    for payoff in STREAMED_PAYOFFS:
+                        expected = [mc.tracking_error_hedge(payoff, b.grid, b)
+                                    for b in batches]
+                        assert mc.tracking_error_hedges(payoff, batches) == expected
+                    assert all("increments" not in vars(b) for b in batches)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_tracking_error_hedges_reject_mismatched_batches():
+    grid, fine = GridSpec(1.0, 2), GridSpec(1.0, 4)
+    payoff = mc.DigitalPayoff(0.0)
+    base = mc.sample_paths(grid, 100, seed=1, workers=1)
+    for other in (mc.sample_paths(fine, 100, seed=2, workers=1),
+                  mc.sample_paths(fine, 101, seed=1, workers=1),
+                  mc.sample_paths(fine, 100, seed=1, workers=2)):
+        with pytest.raises(ValueError, match="share seed"):
+            mc.tracking_error_hedges(payoff, [base, other])
+
+
+def _evaluate_reference(f, xi):
+    """Pathwise evaluation as a fresh sort, a table over every slot and np.full per term."""
+    xi = np.asarray(xi, dtype=float)
+    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0))
+    table = hermite.eval_all(f.max_degree(), slots)
+    out = np.zeros(xi.shape[:-1])
+    for a, c in sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        term = np.full(xi.shape[:-1], c)
+        for slot, order in enumerate(a):
+            if order:
+                term *= table[order, slot]
+        out += term
+    return out
+
+
+def test_streamed_evaluation_matches_reference_loop():
+    grid = GridSpec(1.0, 5)
+    batch = mc.sample_paths(grid, mc.SAMPLE_BLOCK + 9, seed=4)
+    f = mc.coeffs_terminal(mc.DigitalPayoff(0.5), grid, 6)
+    for n in (1, 2):
+        expected = mc._l2_of_samples(_evaluate_reference(co.err_tail(f, n), batch.increments))
+        assert mc.mc_err_norm(f, n, batch) == expected
+    # the term integrands live on the first ell - 1 of the five slots
+    for payoff in (mc.PolynomialPayoff((1.0, 0.0, 0.0, -2.0)), mc.DigitalPayoff(0.0)):
+        d = co.decompose(mc.coeffs_terminal(payoff, grid, 4))
+        expected = np.full(batch.n_samples, d.mean)
+        for term in d.terms:
+            basis = hermite.eval_normalized(term.m, batch.increments[:, term.ell - 1])
+            expected = expected + _evaluate_reference(term.integrand, batch.increments) * basis
+        assert np.array_equal(co.evaluate_decomposition(d, batch.increments), expected)
+
+
 def test_sample_paths_moments():
     batch = mc.sample_paths(GridSpec(1.0, 2), 100_000, seed=3)
     xi = batch.increments
