@@ -271,15 +271,15 @@ class BoundCheck:
 BOUND_REL_SLACK = 1e-12
 
 
+def bound_holds(lhs: float, rhs: float) -> bool:
+    """Whether the error norm lhs is within its bound rhs, up to BOUND_REL_SLACK."""
+    return lhs <= rhs * (1.0 + BOUND_REL_SLACK)
+
+
 def verify_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> BoundCheck:
     lhs = err_norm_refined(f, n, n1, s)
     rhs = error_norm_bound(f, n, n1, s, r)
-    return BoundCheck(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs * (1.0 + BOUND_REL_SLACK),
-        slack=rhs - lhs,
-    )
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=bound_holds(lhs, rhs), slack=rhs - lhs)
 
 
 def malliavin_derivative_squared_integral(f: ChaosExpansion, order: int) -> float:

@@ -7,7 +7,8 @@ Parameter precedence is flag > environment (CHAOSCO_<NAME>) > config file
 temporary file and an atomic rename so partial outputs never appear.
 
 Exit codes: 0 success, 1 numerical failure (or failed bound rows), 2 invalid
-configuration, including an index set too large to build.
+configuration, including an index set too large to build or Monte Carlo
+results too large for physical memory.
 """
 
 from __future__ import annotations
@@ -15,26 +16,27 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import multiindex as mi
 from .chaos import ChaosExpansion, GridSpec, write_expansion_csv
-from .clark_ocone import BOUND_REL_SLACK, decompose, verify_bound
+from .clark_ocone import bound_holds, decompose, verify_bound
 from .montecarlo import (
     DigitalPayoff,
     OccupationTimePayoff,
+    PathBatchTooLarge,
     PolynomialPayoff,
     coeffs_occupation_time,
     coeffs_terminal,
     occupation_rate_sweep,
-    payoff_label,
     rate_sweep,
     sample_paths,
     tracking_error_hedges,
@@ -78,38 +80,45 @@ def parse_payoff(text: str):
 
 
 def _parse_int_list(text: str) -> List[int]:
-    try:
-        return [int(x) for x in str(text).split(",") if x != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+    return [int(x) for x in text.split(",") if x != ""]
 
 
 def _parse_float_list(text: str) -> List[float]:
-    try:
-        return [float(x) for x in str(text).split(",") if x != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
+    return [float(x) for x in text.split(",") if x != ""]
 
 
-#: option name -> (converter from string, default); None default means required
+def _in_unit_interval(x: float) -> bool:
+    return 0.0 <= x <= 1.0
+
+
+def _increasing_from_one(values: List[int]) -> bool:
+    return bool(values) and values[0] >= 1 and all(b > a for a, b in zip(values, values[1:]))
+
+
+#: option name -> (converter from string, default, requirement on the
+#: converted value or None, its wording); a None default means required
 _OPTIONS = {
-    "payoff": (str, None),
-    "T": (float, 1.0),
-    "N0": (int, 1),
-    "N1_list": (_parse_int_list, [4, 8, 16, 32, 64, 128, 256]),
-    "N_list": (_parse_int_list, [4, 8, 16, 32, 64]),
-    "max_degree": (int, 20),
-    "order_n": (int, 1),
-    "sobolev_s": (float, 0.0),
-    "interp_r": (float, 1.0),
-    "order_n_list": (_parse_int_list, [1, 2, 3]),
-    "sobolev_s_list": (_parse_float_list, [-1.0, 0.0, 1.0]),
-    "interp_r_list": (_parse_float_list, [0.0, 0.5, 1.0]),
-    "cases": (int, 100),
-    "seed": (int, 20240824),
-    "samples": (int, 100_000),
-    "workers": (int, 1),
-    "out": (str, None),
+    "payoff": (str, None, None, None),
+    "T": (float, 1.0, lambda x: math.isfinite(x) and x > 0, "positive and finite"),
+    "N0": (int, 1, lambda x: x >= 1, ">= 1"),
+    "N1_list": (_parse_int_list, [4, 8, 16, 32, 64, 128, 256], _increasing_from_one,
+                "strictly increasing and >= 1"),
+    "N_list": (_parse_int_list, [4, 8, 16, 32, 64], _increasing_from_one,
+               "strictly increasing and >= 1"),
+    "max_degree": (int, 20, lambda x: x >= 0, ">= 0"),
+    "order_n": (int, 1, lambda x: x >= 1, ">= 1"),
+    "sobolev_s": (float, 0.0, math.isfinite, "finite"),
+    "interp_r": (float, 1.0, _in_unit_interval, "in [0, 1]"),
+    "order_n_list": (_parse_int_list, [1, 2, 3], lambda v: all(n >= 1 for n in v), "all >= 1"),
+    "sobolev_s_list": (_parse_float_list, [-1.0, 0.0, 1.0], lambda v: all(map(math.isfinite, v)),
+                       "all finite"),
+    "interp_r_list": (_parse_float_list, [0.0, 0.5, 1.0], lambda v: all(map(_in_unit_interval, v)),
+                      "all in [0, 1]"),
+    "cases": (int, 100, lambda x: x >= 1, ">= 1"),
+    "seed": (int, 20240824, lambda x: 0 <= x < 2**128, "a Philox key in [0, 2**128)"),
+    "samples": (int, 100_000, lambda x: x >= 1, ">= 1"),
+    "workers": (int, 1, lambda x: x >= 1, ">= 1"),
+    "out": (str, None, None, None),
 }
 
 _COMMAND_OPTIONS = {
@@ -172,7 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(command: str, args: argparse.Namespace) -> Dict[str, object]:
-    """Layer defaults, config file, environment, and flags; validate types."""
+    """Layer defaults, config file, environment, and flags; convert and check.
+
+    Every value given, from any source, must meet its option's requirement.
+    A JSON array in the config file is read as its comma-joined entries.
+    """
     file_values = {}
     if getattr(args, "config", None):
         try:
@@ -184,61 +197,26 @@ def resolve_config(command: str, args: argparse.Namespace) -> Dict[str, object]:
             raise ConfigError("config file must contain a JSON object")
     resolved: Dict[str, object] = {}
     for name in _COMMAND_OPTIONS[command]:
-        convert, default = _OPTIONS[name]
+        convert, default, requirement, wording = _OPTIONS[name]
         raw = getattr(args, name, None)
         if raw is None:
             raw = os.environ.get(ENV_PREFIX + name.upper())
-        if raw is None and name in file_values:
-            raw = file_values[name]
+        if raw is None:
+            raw = file_values.get(name)
         if raw is None:
             if default is None and name != "out":
                 raise ConfigError(f"missing required option {_flag_name(name)}")
             resolved[name] = default
             continue
+        text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
         try:
-            resolved[name] = convert(raw) if isinstance(raw, str) else convert(str(raw))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid value for {_flag_name(name)}: {raw!r}") from exc
-    _validate(command, resolved)
+            value = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for {_flag_name(name)}: {text!r}") from exc
+        if requirement is not None and not requirement(value):
+            raise ConfigError(f"{_flag_name(name)} must be {wording}: {text!r}")
+        resolved[name] = value
     return resolved
-
-
-def _validate(command: str, cfg: Dict[str, object]) -> None:
-    if cfg.get("T") is not None and not (math.isfinite(cfg["T"]) and cfg["T"] > 0):
-        raise ConfigError("T must be positive and finite")
-    if cfg.get("sobolev_s") is not None and not math.isfinite(cfg["sobolev_s"]):
-        raise ConfigError("sobolev-s must be finite")
-    slist = cfg.get("sobolev_s_list")
-    if slist is not None and not all(map(math.isfinite, slist)):
-        raise ConfigError("sobolev-s-list entries must be finite")
-    if cfg.get("N0") is not None and cfg["N0"] < 1:
-        raise ConfigError("N0 must be >= 1")
-    if cfg.get("max_degree") is not None and cfg["max_degree"] < 0:
-        raise ConfigError("max-degree must be non-negative")
-    if cfg.get("order_n") is not None and cfg["order_n"] < 1:
-        raise ConfigError("order-n must be >= 1")
-    if cfg.get("order_n_list") is not None and any(n < 1 for n in cfg["order_n_list"]):
-        raise ConfigError("order-n-list entries must be >= 1")
-    if cfg.get("cases") is not None and cfg["cases"] < 1:
-        raise ConfigError("cases must be >= 1")
-    if cfg.get("interp_r") is not None and not 0.0 <= cfg["interp_r"] <= 1.0:
-        raise ConfigError("interp-r must lie in [0, 1]")
-    if cfg.get("samples") is not None and cfg["samples"] < 1:
-        raise ConfigError("samples must be >= 1")
-    if cfg.get("workers") is not None and cfg["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
-    for key in ("N1_list", "N_list"):
-        values = cfg.get(key)
-        if values is not None:
-            if not values or any(b <= a for a, b in zip(values, values[1:])):
-                raise ConfigError(f"{key.replace('_', '-')} must be strictly increasing")
-            if values[0] < 1:
-                raise ConfigError(f"{key.replace('_', '-')} entries must be >= 1")
-    rlist = cfg.get("interp_r_list")
-    if rlist is not None and any(not 0.0 <= r <= 1.0 for r in rlist):
-        raise ConfigError("interp-r-list entries must lie in [0, 1]")
 
 
 #: execution details excluded from output headers so byte-identical results
@@ -274,6 +252,26 @@ def _write_atomic(path: Optional[str], text: str) -> None:
         raise
 
 
+def _write_table(command: str, cfg: Dict[str, object], columns: List[str],
+                 rows: Iterable[Sequence[object]], comments: Sequence[str] = (),
+                 trailer: Sequence[str] = ()) -> None:
+    """Header and extra "#" lines, the CSV table, then trailer lines, written atomically."""
+    buf = io.StringIO()
+    for line in [*_header_lines(command, cfg), *comments]:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    for line in trailer:
+        buf.write(f"{line}\n")
+    _write_atomic(cfg["out"], buf.getvalue())
+
+
+def _g17(x: float) -> str:
+    """17 significant digits: every double round-trips, so outputs are byte-stable."""
+    return format(x, ".17g")
+
+
 def _payoff_expansion(cfg: Dict[str, object]) -> ChaosExpansion:
     payoff = parse_payoff(cfg["payoff"])
     grid = GridSpec(cfg["T"], cfg["N0"])
@@ -292,18 +290,13 @@ def cmd_expand(cfg: Dict[str, object]) -> int:
 
 def cmd_decompose(cfg: Dict[str, object]) -> int:
     d = decompose(_payoff_expansion(cfg))
-    buf = io.StringIO()
-    for line in _header_lines("decompose", cfg):
-        buf.write(f"# {line}\n")
-    buf.write(f"# mean={format(d.mean, '.17g')}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ell", "m", "multiindex", "coefficient"])
-    for term in d.terms:
-        writer.writerows(
-            (term.ell, term.m, mi.format_canonical(a), format(c, ".17g"))
-            for a, c in term.integrand.items()
-        )
-    _write_atomic(cfg["out"], buf.getvalue())
+    rows = (
+        (term.ell, term.m, mi.format_canonical(a), _g17(c))
+        for term in d.terms
+        for a, c in term.integrand.items()
+    )
+    _write_table("decompose", cfg, ["ell", "m", "multiindex", "coefficient"], rows,
+                 comments=[f"mean={_g17(d.mean)}"])
     return EXIT_OK
 
 
@@ -324,34 +317,19 @@ def cmd_verify_bound(cfg: Dict[str, object]) -> int:
         ]
     else:
         cases = [(cfg["payoff"], _payoff_expansion(cfg))]
-    buf = io.StringIO()
-    for line in _header_lines("verify-bound", cfg):
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"])
-    any_failed = False
-    for label, expansion in cases:
-        for n in cfg["order_n_list"]:
-            for n1 in cfg["N1_list"]:
-                for s in cfg["sobolev_s_list"]:
-                    for r in cfg["interp_r_list"]:
-                        check = verify_bound(expansion, n, n1, s, r)
-                        any_failed = any_failed or not check.holds
-                        writer.writerow(
-                            [
-                                label,
-                                n,
-                                n1,
-                                format(s, "g"),
-                                format(r, "g"),
-                                format(check.lhs, ".17g"),
-                                format(check.rhs, ".17g"),
-                                str(check.holds).lower(),
-                                format(check.slack, ".17g"),
-                            ]
-                        )
-    _write_atomic(cfg["out"], buf.getvalue())
-    return EXIT_NUMERICAL if any_failed else EXIT_OK
+    checks = [
+        (label, n, n1, s, r, verify_bound(expansion, n, n1, s, r))
+        for (label, expansion), n, n1, s, r in itertools.product(
+            cases, cfg["order_n_list"], cfg["N1_list"], cfg["sobolev_s_list"], cfg["interp_r_list"])
+    ]
+    rows = (
+        (label, n, n1, format(s, "g"), format(r, "g"), _g17(check.lhs), _g17(check.rhs),
+         str(check.holds).lower(), _g17(check.slack))
+        for label, n, n1, s, r, check in checks
+    )
+    _write_table("verify-bound", cfg,
+                 ["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"], rows)
+    return EXIT_OK if all(check.holds for *_, check in checks) else EXIT_NUMERICAL
 
 
 def cmd_rate_sweep(cfg: Dict[str, object]) -> int:
@@ -359,64 +337,37 @@ def cmd_rate_sweep(cfg: Dict[str, object]) -> int:
     if isinstance(payoff, OccupationTimePayoff):
         raise ConfigError("rate-sweep requires a terminal payoff; "
                           "use simulate-hedge for the occupation functional")
-    report = rate_sweep(
-        payoff,
-        cfg["order_n"],
-        cfg["sobolev_s"],
-        cfg["interp_r"],
-        cfg["N1_list"],
-        cfg["N0"],
-        cfg["T"],
-        cfg["max_degree"],
+    report = rate_sweep(payoff, cfg["order_n"], cfg["sobolev_s"], cfg["interp_r"],
+                        cfg["N1_list"], cfg["N0"], cfg["T"], cfg["max_degree"])
+    rows = (
+        (n1, _g17(err), _g17(bound), str(bound_holds(err, bound)).lower())
+        for n1, err, bound in report.rows
     )
-    buf = io.StringIO()
-    for line in _header_lines("rate-sweep", cfg):
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N1", "error_norm", "bound", "holds"])
-    for n1, err, bound in report.rows:
-        holds = err <= bound * (1.0 + BOUND_REL_SLACK)
-        writer.writerow(
-            [n1, format(err, ".17g"), format(bound, ".17g"), str(holds).lower()]
-        )
-    slope = report.fitted_slope
-    buf.write(f"slope={'nan' if math.isnan(slope) else format(slope, '.17g')}\n")
-    _write_atomic(cfg["out"], buf.getvalue())
+    _write_table("rate-sweep", cfg, ["N1", "error_norm", "bound", "holds"], rows,
+                 trailer=[f"slope={_g17(report.fitted_slope)}"])
     return EXIT_OK
 
 
 def cmd_simulate_hedge(cfg: Dict[str, object]) -> int:
     payoff = parse_payoff(cfg["payoff"])
-    buf = io.StringIO()
-    for line in _header_lines("simulate-hedge", cfg):
-        buf.write(f"# {line}\n")
-    occupation = isinstance(payoff, OccupationTimePayoff)
-    if occupation:
+    if isinstance(payoff, OccupationTimePayoff):
         # l2_estimate is the exact norm of the degree-truncated expansion's
         # first-order error, not a hedge simulation; std_error is 0
-        buf.write("# method=truncated-chaos\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["N", "l2_estimate", "std_error"])
-    if occupation:
-        for n_steps, err in occupation_rate_sweep(
-            1, cfg["N_list"], cfg["T"], cfg["max_degree"]
-        ):
-            writer.writerow([n_steps, format(err, ".17g"), format(0.0, ".17g")])
+        comments = ["method=truncated-chaos"]
+        sweep = occupation_rate_sweep(1, cfg["N_list"], cfg["T"], cfg["max_degree"])
+        rows = [(n_steps, _g17(err), _g17(0.0)) for n_steps, err in sweep]
     else:
+        comments = []
         # one batch per N, all hedged from one sampling pass at the largest N
         batches = [
             sample_paths(GridSpec(cfg["T"], n_steps), cfg["samples"], cfg["seed"], cfg["workers"])
             for n_steps in cfg["N_list"]
         ]
-        for batch, result in zip(batches, tracking_error_hedges(payoff, batches)):
-            writer.writerow(
-                [
-                    batch.grid.N,
-                    format(result.estimate, ".17g"),
-                    format(result.std_error, ".17g"),
-                ]
-            )
-    _write_atomic(cfg["out"], buf.getvalue())
+        rows = [
+            (batch.grid.N, _g17(result.estimate), _g17(result.std_error))
+            for batch, result in zip(batches, tracking_error_hedges(payoff, batches))
+        ]
+    _write_table("simulate-hedge", cfg, ["N", "l2_estimate", "std_error"], rows, comments)
     return EXIT_OK
 
 
@@ -436,13 +387,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
-        cfg = resolve_config(args.command, args)
-    except ConfigError as exc:
-        print(f"chaosco: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        return _HANDLERS[args.command](cfg)
-    except (ConfigError, mi.IndexSetTooLarge) as exc:
+        return _HANDLERS[args.command](resolve_config(args.command, args))
+    except (ConfigError, mi.IndexSetTooLarge, PathBatchTooLarge) as exc:
         print(f"chaosco: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ArithmeticError, ValueError, FloatingPointError) as exc:

@@ -217,6 +217,18 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
 # Path sampling
 
 
+class PathBatchTooLarge(ValueError):
+    """Path results would exceed physical memory; raised before allocating."""
+
+
+def _check_fits(n_bytes: int, what: str) -> None:
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_bytes > physical:
+        raise PathBatchTooLarge(
+            f"{what} need {n_bytes} bytes, more than the {physical} bytes of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class PathBatch:
     """Seeded description of a batch of standardized increments xi.
@@ -244,6 +256,8 @@ class PathBatch:
     @cached_property
     def increments(self) -> np.ndarray:
         """All paths, (n_samples, N), assembled in block order."""
+        _check_fits(self.n_samples * self.grid.N * 8,
+                    f"increments of {self.n_samples} paths on {self.grid.N} slots")
         out = np.empty((self.n_samples, self.grid.N))
 
         def fill(lane: int, lanes: int) -> None:
@@ -308,6 +322,7 @@ def _map_blocks(
         raise ValueError("path batches must share seed, n_samples and workers")
     n, n_blocks = first.n_samples, first.n_blocks
     max_slots = max(b.grid.N for b in batches)
+    _check_fits(len(batches) * n * 8, f"results of {n} paths on {len(batches)} grids")
     outs = [np.empty(n) for _ in batches]
     size = min(n, SAMPLE_BLOCK) * max_slots
 

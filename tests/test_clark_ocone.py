@@ -4,10 +4,24 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaosco import chaos, clark_ocone as co
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
+
+
+#: small, deterministic property runs
+PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def _sparse_expansions(draw):
+    """Up to 8 coefficients on 1 to 4 slots, entries up to 4."""
+    n = draw(st.integers(1, 4))
+    keys = st.lists(st.integers(0, 4), max_size=n).map(tuple)
+    coeffs = draw(st.dictionaries(keys, st.floats(-2.0, 2.0), max_size=8))
+    return ChaosExpansion(GridSpec(draw(st.sampled_from([0.5, 1.0, 3.0])), n), coeffs)
 
 
 def _refined_h2():
@@ -46,6 +60,13 @@ def test_reconstruct_round_trip():
         ChaosExpansion(GridSpec(1.0, 3), {(1, 0, 2): 0.5, (2,): -1.0, (): 0.25}),
     ]:
         assert co.reconstruct(co.decompose(f)).coeffs == f.coeffs
+
+
+@PROPERTY
+@given(_sparse_expansions())
+def test_reconstruct_inverts_decompose(f):
+    back = co.reconstruct(co.decompose(f))
+    assert back.grid == f.grid and back.coeffs == f.coeffs
 
 
 def test_reconstruct_rejects_overlap():
@@ -261,6 +282,13 @@ def test_verify_bound():
     const = chaos.constant(GridSpec(1.0, 2), 2.0)
     check0 = co.verify_bound(const, 1, 4, 0.0, 0.5)
     assert check0.holds and check0.lhs == 0.0
+
+
+@PROPERTY
+@given(_sparse_expansions(), st.integers(1, 3), st.integers(1, 16),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_verify_bound_holds(f, n, n1, s, r):
+    assert co.verify_bound(f, n, n1, s, r).holds
 
 
 def test_zeta_error_bound():

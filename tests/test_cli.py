@@ -273,6 +273,48 @@ def test_config_precedence(tmp_path, monkeypatch):
     assert "# max_degree=4\n" in out.read_text()
 
 
+def test_config_file_json_arrays(tmp_path):
+    # a JSON array reads as its comma-joined entries: the same file as the flag
+    by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"payoff": "poly:0,0,1", "N1_list": [4, 8, 16],
+                               "sobolev_s_list": [0, 0.5], "interp_r_list": [1]}))
+    assert main(["verify-bound", "--config", str(cfg), "--out", str(by_file)]) == EXIT_OK
+    assert main(["verify-bound", "--payoff", "poly:0,0,1", "--N1-list", "4,8,16",
+                 "--sobolev-s-list", "0,0.5", "--interp-r-list", "1",
+                 "--out", str(by_flag)]) == EXIT_OK
+    assert "# N1_list=4,8,16\n" in by_file.read_text()
+    assert by_file.read_bytes() == by_flag.read_bytes()
+    cfg.write_text(json.dumps({"payoff": "poly:0,0,1", "N1_list": [8, 4]}))
+    assert main(["verify-bound", "--config", str(cfg), "--out", str(by_file)]) == EXIT_INVALID
+
+
+def test_every_source_is_checked(tmp_path, monkeypatch, capsys):
+    out, cfg = tmp_path / "o.csv", tmp_path / "cfg.json"
+    argv = ["simulate-hedge", "--payoff", "poly:0,0,1", "--config", str(cfg), "--out", str(out)]
+    cfg.write_text(json.dumps({"N_list": [4]}))
+    monkeypatch.setenv("CHAOSCO_SAMPLES", "0")
+    assert main(argv) == EXIT_INVALID
+    assert "--samples must be >= 1: '0'" in capsys.readouterr().err
+    monkeypatch.delenv("CHAOSCO_SAMPLES")
+    cfg.write_text(json.dumps({"N_list": [4], "workers": 0}))
+    assert main(argv) == EXIT_INVALID
+    assert "--workers must be >= 1: '0'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"N_list": [0, 4]}))
+    assert main(argv) == EXIT_INVALID
+    assert "--N-list must be strictly increasing and >= 1: '0,4'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_option_table_is_consistent():
+    for name, (convert, default, requirement, wording) in cli._OPTIONS.items():
+        assert (requirement is None) == (wording is None), name
+        if default is not None and requirement is not None:
+            assert requirement(default), name
+    for command, names in cli._COMMAND_OPTIONS.items():
+        assert set(names) <= set(cli._OPTIONS), command
+
+
 def test_invalid_configuration_exit_codes(tmp_path):
     assert main(["expand", "--payoff", "poly:1", "--T", "-1"]) == EXIT_INVALID
     assert main(["expand", "--payoff", "poly:1", "--max-degree", "-2"]) == EXIT_INVALID
@@ -297,6 +339,16 @@ def test_invalid_configuration_exit_codes(tmp_path):
         ["expand", "--payoff", "poly:inf"],
         ["expand", "--payoff", "poly:1,nan"],
         ["simulate-hedge", "--payoff", "digital:nan", "--samples", "100"],
+        # each option's requirement
+        ["expand", "--payoff", "poly:1", "--N0", "0"],
+        ["rate-sweep", "--payoff", "poly:1", "--order-n", "0"],
+        ["simulate-hedge", "--payoff", "poly:1", "--samples", "0"],
+        ["simulate-hedge", "--payoff", "poly:1", "--workers", "0"],
+        ["simulate-hedge", "--payoff", "poly:1", "--N-list", "0,4"],
+        ["rate-sweep", "--payoff", "poly:1", "--N1-list", ""],
+        ["verify-bound", "--payoff", "poly:1", "--interp-r-list", "2"],
+        ["verify-bound", "--payoff", "random", "--cases", "1", "--seed", "-1"],
+        ["simulate-hedge", "--payoff", "poly:1", "--samples", "10", "--seed", str(2**128)],
     ):
         assert main(argv + ["--out", str(out)]) == EXIT_INVALID
         assert not out.exists()
@@ -315,6 +367,17 @@ def test_oversized_index_set_refused_before_allocating(tmp_path, capsys):
     code, peak_mb = _child_peak_rss(["-m", "chaosco.cli", *argv])
     assert code == EXIT_INVALID
     assert peak_mb < 64.0
+
+
+def test_oversized_hedge_refused_before_allocating(tmp_path, capsys):
+    # 10^12 paths: their residuals alone would need 8 TB
+    out = tmp_path / "hedge.csv"
+    argv = ["simulate-hedge", "--payoff", "digital:0", "--samples", str(10**12),
+            "--N-list", "4", "--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and f"{8 * 10**12} bytes" in err
+    assert not out.exists()
 
 
 def test_atomic_write_no_partial_files(tmp_path):

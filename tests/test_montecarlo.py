@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,31 @@ def test_pool_size_caps(monkeypatch):
     assert mc._pool_size(8, 8) == 1
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
     assert mc._pool_size(8, 3) == 3
+
+
+def test_path_results_refused_beyond_physical_memory(monkeypatch):
+    payoff = mc.PolynomialPayoff((0.0, 0.0, 1.0))
+    huge = mc.sample_paths(GridSpec(1.0, 4), 10**12, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mc.PathBatchTooLarge, match=f"{2 * 8 * 10**12} bytes"):
+            mc.tracking_error_hedges(payoff, [huge, mc.sample_paths(GridSpec(1.0, 2), 10**12, 1)])
+        with pytest.raises(mc.PathBatchTooLarge, match=f"{4 * 8 * 10**12} bytes"):
+            huge.increments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the limit is physical memory: 100 pages of 4096 bytes here
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+    monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
+    grid = GridSpec(1.0, 4)
+    assert mc.tracking_error_hedges(payoff, [mc.sample_paths(grid, 51_200, 1)])
+    with pytest.raises(mc.PathBatchTooLarge, match="409608 bytes"):
+        mc.tracking_error_hedges(payoff, [mc.sample_paths(grid, 51_201, 1)])
+    with pytest.raises(mc.PathBatchTooLarge):
+        mc.sample_paths(grid, 12_801, 1).increments
+    assert mc.sample_paths(grid, 12_800, 1).increments.shape == (12_800, 4)
 
 
 def test_sample_paths_deterministic():
