@@ -16,8 +16,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Iterable, Mapping, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -87,7 +87,15 @@ class ChaosExpansion:
 
     @cached_property
     def _graded_items(self) -> Tuple[Tuple[MultiIndex, float], ...]:
-        """``items()``, sorted once and kept with the expansion."""
+        """``items()``, sorted once and kept with the expansion.
+
+        Every builder inserts in graded order, so the order is checked first,
+        in C-level passes over (|a|, a); keys are distinct, so a
+        non-decreasing run of those pairs is the sorted order.
+        """
+        graded = list(zip(map(sum, self.coeffs), self.coeffs))
+        if all(map(operator.le, graded, itertools.islice(graded, 1, None))):
+            return tuple(self.coeffs.items())
         return tuple(sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
     def max_degree(self) -> int:
@@ -113,18 +121,31 @@ class ChaosExpansion:
         return degree, last, weight
 
     @cached_property
-    def _by_sobolev_index(self) -> Dict[Tuple[str, float], object]:
-        """Results of the two methods below, by method and s."""
+    def _results(self) -> Dict[Tuple, object]:
+        """What :meth:`remembered` has computed, by name and arguments."""
         return {}
+
+    def remembered(self, name: str, args: Tuple, compute: Callable[[], object]):
+        """``compute()``, called once per (name, args) and kept with the expansion.
+
+        For values computed from the coefficients alone and the arguments.
+        """
+        key = (name, *args)
+        try:
+            return self._results[key]
+        except KeyError:
+            value = self._results[key] = compute()
+            return value
 
     def class_weights(self, s: float) -> np.ndarray:
         """(1 + |a|)^s for each degree class, read-only and remembered per s."""
-        key = ("weights", s)
-        if key not in self._by_sobolev_index:
+
+        def compute():
             weights = (1.0 + self.degree_classes[0]) ** s
             weights.flags.writeable = False
-            self._by_sobolev_index[key] = weights
-        return self._by_sobolev_index[key]
+            return weights
+
+        return self.remembered("weights", (s,), compute)
 
     def log_sobolev_norm_sq(self, s: float) -> float:
         """log ||F||_{2,s}^2 from the degree classes, remembered per s.
@@ -132,13 +153,14 @@ class ChaosExpansion:
         Summed in log space, so (1+|a|)^s does not overflow at large s.
         The zero expansion has no classes; callers handle it first.
         """
-        key = ("log_norm_sq", s)
-        if key not in self._by_sobolev_index:
+
+        def compute():
             degree, _, weight = self.degree_classes
             log_terms = s * np.log1p(degree) + np.log(weight)
             top = float(log_terms.max())
-            self._by_sobolev_index[key] = top + math.log(float(np.exp(log_terms - top).sum()))
-        return self._by_sobolev_index[key]
+            return top + math.log(float(np.exp(log_terms - top).sum()))
+
+        return self.remembered("log_norm_sq", (s,), compute)
 
 
 def _canonical_keys(keys, n: int) -> bool:
@@ -355,6 +377,7 @@ def refine(f: ChaosExpansion, n1: int) -> ChaosExpansion:
     fine_grid = GridSpec(f.grid.T, n0 * n1)
     if n1 == 1:
         return ChaosExpansion(fine_grid, dict(f.coeffs))
+    mi.check_refinement_size(f.coeffs, n0, n1)
     log_factorials = mi.log_factorial_table(f.max_degree())
     out: Dict[MultiIndex, float] = {}
     # fine sets of distinct coarse indexes are disjoint: no key repeats
@@ -372,13 +395,34 @@ def refine(f: ChaosExpansion, n1: int) -> ChaosExpansion:
 # Serialization
 
 
+@lru_cache(maxsize=mi.TABLE_CACHE_SIZE)
+def csv_field_template(length: int) -> str:
+    """%-template writing a canonical index of ``length`` entries as one CSV field.
+
+    Applied to the entries, it gives :func:`mi.format_canonical`'s text as
+    ``csv.writer`` writes it: "()" for the zero index, and quoted when it
+    holds a comma, that is from two entries on.
+    """
+    if length < 2:
+        return ("()", "%d")[length]
+    return '"%s"' % ",".join(["%d"] * length)
+
+
 def write_expansion_csv(f: ChaosExpansion, stream, header_lines: Iterable[str] = ()) -> None:
-    """CSV with header "multiindex,coefficient"; 17 significant digits."""
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["multiindex", "coefficient"])
-    writer.writerows((mi.format_canonical(a), format(c, ".17g")) for a, c in f.items())
+    """CSV with header "multiindex,coefficient"; 17 significant digits.
+
+    The bytes are those of ``csv.writer`` over (format_canonical(a),
+    format(c, ".17g")) rows in graded order, written in one piece: each row
+    is one %-template, chosen by the key's length, applied to a + (c,).
+    """
+    items = f.items()
+    keys = list(map(operator.itemgetter(0), items))
+    values = zip(map(operator.itemgetter(1), items))
+    lengths = list(map(len, keys))
+    templates = {k: csv_field_template(k) + ",%.17g\n" for k in set(lengths)}
+    rows = map(operator.mod, map(templates.__getitem__, lengths), map(tuple.__add__, keys, values))
+    head = [f"# {line}\n" for line in header_lines] + ["multiindex,coefficient\n"]
+    stream.write("".join(itertools.chain(head, rows)))
 
 
 def read_expansion_csv(stream, grid: GridSpec) -> ChaosExpansion:

@@ -210,8 +210,9 @@ def tail_mass(a: MultiIndex, n: int, n1: int) -> float:
     return _tail_mass_value(a[-1], n, n1)
 
 
+@lru_cache(maxsize=4096)
 def _log_denominator(n: int, n1: int) -> float:
-    """log(n! N1^n), finite at every order."""
+    """log(n! N1^n), finite at every order; verify-bound asks for few (n, N1)."""
     return math.lgamma(n + 1) + n * math.log(n1)
 
 
@@ -232,15 +233,20 @@ def err_norm_refined(f: ChaosExpansion, n: int, n1: int, s: float) -> float:
     Fine indexes matching distinct coarse indexes are disjoint, so the squared
     norm is sum_a (1+|a|)^s c_a^2 S(a, n, N1) over the coarse support.  The
     summand depends on a only through |a| and a_ell, so the sum runs over
-    the expansion's degree classes against one tail-mass table.
+    the expansion's degree classes against one tail-mass table.  The result
+    is remembered with the expansion per (n, N1, s).
     """
     _check_orders(n, n1)
-    degree, last, weight = f.degree_classes
-    if not last.size:
-        return 0.0
-    # classes are sorted by degree, and no last entry exceeds its degree
-    table = _tail_mass_table(n, n1, _table_size(int(degree[-1])))
-    return math.sqrt(float(weight @ (f.class_weights(s) * table[last])))
+
+    def compute():
+        degree, last, weight = f.degree_classes
+        if not last.size:
+            return 0.0
+        # classes are sorted by degree, and no last entry exceeds its degree
+        table = _tail_mass_table(n, n1, _table_size(int(degree[-1])))
+        return math.sqrt(float(weight @ (f.class_weights(s) * table[last])))
+
+    return f.remembered("err_norm_refined", (n, n1, s), compute)
 
 
 def error_norm_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> float:

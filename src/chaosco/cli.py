@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import multiindex as mi
-from .chaos import ChaosExpansion, GridSpec, write_expansion_csv
+from .chaos import ChaosExpansion, GridSpec, csv_field_template, write_expansion_csv
 from .clark_ocone import bound_holds, decompose, verify_bound
 from .montecarlo import (
     DigitalPayoff,
@@ -252,24 +252,33 @@ def _write_atomic(path: Optional[str], text: str) -> None:
         raise
 
 
-def _write_table(command: str, cfg: Dict[str, object], columns: List[str],
-                 rows: Iterable[Sequence[object]], comments: Sequence[str] = (),
+def _write_table(command: str, cfg: Dict[str, object], columns: List[str], template: str,
+                 rows: Iterable[tuple], comments: Sequence[str] = (),
                  trailer: Sequence[str] = ()) -> None:
-    """Header and extra "#" lines, the CSV table, then trailer lines, written atomically."""
+    """Header and extra "#" lines, the CSV table, then trailer lines, written atomically.
+
+    Each row is ``template % row``, one line.  Templates write floats as
+    ``%.17g`` (every double round-trips, so outputs are byte-stable) and
+    text with ``%s``; text that csv.writer would quote goes in as
+    :func:`_csv_field` gives it.
+    """
+    lines = itertools.chain(
+        [f"# {line}\n" for line in [*_header_lines(command, cfg), *comments]],
+        [",".join(columns) + "\n"],
+        map(template.__mod__, rows),
+        [f"{line}\n" for line in trailer],
+    )
+    _write_atomic(cfg["out"], "".join(lines))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it as a field of a row: quoted where needed."""
     buf = io.StringIO()
-    for line in [*_header_lines(command, cfg), *comments]:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    for line in trailer:
-        buf.write(f"{line}\n")
-    _write_atomic(cfg["out"], buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
 
 
-def _g17(x: float) -> str:
-    """17 significant digits: every double round-trips, so outputs are byte-stable."""
-    return format(x, ".17g")
+_HOLDS = {True: "true", False: "false"}
 
 
 def _payoff_expansion(cfg: Dict[str, object]) -> ChaosExpansion:
@@ -291,12 +300,12 @@ def cmd_expand(cfg: Dict[str, object]) -> int:
 def cmd_decompose(cfg: Dict[str, object]) -> int:
     d = decompose(_payoff_expansion(cfg))
     rows = (
-        (term.ell, term.m, mi.format_canonical(a), _g17(c))
+        (term.ell, term.m, csv_field_template(len(a)) % a, c)
         for term in d.terms
         for a, c in term.integrand.items()
     )
-    _write_table("decompose", cfg, ["ell", "m", "multiindex", "coefficient"], rows,
-                 comments=[f"mean={_g17(d.mean)}"])
+    _write_table("decompose", cfg, ["ell", "m", "multiindex", "coefficient"],
+                 "%d,%d,%s,%.17g\n", rows, comments=[f"mean={d.mean:.17g}"])
     return EXIT_OK
 
 
@@ -317,18 +326,19 @@ def cmd_verify_bound(cfg: Dict[str, object]) -> int:
         ]
     else:
         cases = [(cfg["payoff"], _payoff_expansion(cfg))]
+    cases = [(_csv_field(label), expansion) for label, expansion in cases]
     checks = [
         (label, n, n1, s, r, verify_bound(expansion, n, n1, s, r))
         for (label, expansion), n, n1, s, r in itertools.product(
             cases, cfg["order_n_list"], cfg["N1_list"], cfg["sobolev_s_list"], cfg["interp_r_list"])
     ]
     rows = (
-        (label, n, n1, format(s, "g"), format(r, "g"), _g17(check.lhs), _g17(check.rhs),
-         str(check.holds).lower(), _g17(check.slack))
+        (label, n, n1, s, r, check.lhs, check.rhs, _HOLDS[check.holds], check.slack)
         for label, n, n1, s, r, check in checks
     )
     _write_table("verify-bound", cfg,
-                 ["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"], rows)
+                 ["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"],
+                 "%s,%d,%d,%g,%g,%.17g,%.17g,%s,%.17g\n", rows)
     return EXIT_OK if all(check.holds for *_, check in checks) else EXIT_NUMERICAL
 
 
@@ -340,11 +350,11 @@ def cmd_rate_sweep(cfg: Dict[str, object]) -> int:
     report = rate_sweep(payoff, cfg["order_n"], cfg["sobolev_s"], cfg["interp_r"],
                         cfg["N1_list"], cfg["N0"], cfg["T"], cfg["max_degree"])
     rows = (
-        (n1, _g17(err), _g17(bound), str(bound_holds(err, bound)).lower())
+        (n1, err, bound, _HOLDS[bound_holds(err, bound)])
         for n1, err, bound in report.rows
     )
-    _write_table("rate-sweep", cfg, ["N1", "error_norm", "bound", "holds"], rows,
-                 trailer=[f"slope={_g17(report.fitted_slope)}"])
+    _write_table("rate-sweep", cfg, ["N1", "error_norm", "bound", "holds"],
+                 "%d,%.17g,%.17g,%s\n", rows, trailer=[f"slope={report.fitted_slope:.17g}"])
     return EXIT_OK
 
 
@@ -355,7 +365,7 @@ def cmd_simulate_hedge(cfg: Dict[str, object]) -> int:
         # first-order error, not a hedge simulation; std_error is 0
         comments = ["method=truncated-chaos"]
         sweep = occupation_rate_sweep(1, cfg["N_list"], cfg["T"], cfg["max_degree"])
-        rows = [(n_steps, _g17(err), _g17(0.0)) for n_steps, err in sweep]
+        rows = [(n_steps, err, 0.0) for n_steps, err in sweep]
     else:
         comments = []
         # one batch per N, all hedged from one sampling pass at the largest N
@@ -364,10 +374,11 @@ def cmd_simulate_hedge(cfg: Dict[str, object]) -> int:
             for n_steps in cfg["N_list"]
         ]
         rows = [
-            (batch.grid.N, _g17(result.estimate), _g17(result.std_error))
+            (batch.grid.N, result.estimate, result.std_error)
             for batch, result in zip(batches, tracking_error_hedges(payoff, batches))
         ]
-    _write_table("simulate-hedge", cfg, ["N", "l2_estimate", "std_error"], rows, comments)
+    _write_table("simulate-hedge", cfg, ["N", "l2_estimate", "std_error"], "%d,%.17g,%.17g\n",
+                 rows, comments)
     return EXIT_OK
 
 

@@ -269,8 +269,15 @@ class PathBatch:
         return out
 
     def brownian_paths(self) -> np.ndarray:
-        """Cumulative W_{t_1}..W_{t_N} per sample."""
-        return np.cumsum(math.sqrt(self.grid.dt) * self.increments, axis=1)
+        """Cumulative W_{t_1}..W_{t_N} per sample, (n_samples, N).
+
+        Its size is checked before anything is allocated; the scaled
+        increments and their running sums share one array.
+        """
+        _check_fits(self.n_samples * self.grid.N * 8,
+                    f"Brownian paths of {self.n_samples} samples on {self.grid.N} slots")
+        paths = np.multiply(math.sqrt(self.grid.dt), self.increments)
+        return np.cumsum(paths, axis=1, out=paths)
 
 
 def _sample_block(seed: int, block: int, rows: np.ndarray) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -196,6 +196,20 @@ def _matching_table(a_coarse: MultiIndex, n0: int, n1: int) -> np.ndarray:
     return table
 
 
+def check_refinement_size(coarse_keys: Iterable[MultiIndex], n0: int, n1: int) -> None:
+    """Refuse refining ``coarse_keys`` by n1 before any fine index is built.
+
+    The fine indexes, sum_a prod_i C(a_i + n1 - 1, n1 - 1) of them on n0*n1
+    slots, are checked against MAX_TABLE_BYTES as one table, as the keys of
+    a single fine expansion.
+    """
+    rows = top = 0
+    for a in coarse_keys:
+        rows += math.prod(math.comb(ai + n1 - 1, n1 - 1) for ai in a)
+        top = max(top, max(a, default=0))
+    _check_size(rows, n0 * n1, top)
+
+
 def row_lengths(table: np.ndarray) -> np.ndarray:
     """Canonical length of each row: the 1-based slot of its last nonzero entry."""
     width = table.shape[1]
@@ -241,18 +255,9 @@ def format_multiindex(a: MultiIndex) -> str:
     return format_canonical(canonical(a))
 
 
-#: decimal text of the entries written most often
-_ENTRY_TEXT = tuple(map(str, range(128)))
-
-
 def format_canonical(a: MultiIndex) -> str:
     """:func:`format_multiindex` of an index already in canonical form."""
-    if not a:
-        return "()"
-    try:
-        return ",".join(map(_ENTRY_TEXT.__getitem__, a))
-    except IndexError:
-        return ",".join(map(str, a))
+    return ",".join(map(str, a)) if a else "()"
 
 
 def parse_multiindex(text: str) -> MultiIndex:

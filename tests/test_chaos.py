@@ -1,6 +1,8 @@
+import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,3 +355,100 @@ def test_csv_round_trip():
     buf2 = io.StringIO()
     chaos.write_expansion_csv(back, buf2, header_lines=["T=1.0", "N=3"])
     assert buf2.getvalue() == text
+
+
+def test_refine_refused_before_allocating(monkeypatch):
+    f = ChaosExpansion(GridSpec(1.0, 4), {(12, 12, 12, 12): 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(mi.IndexSetTooLarge, match="indexes on 256 slots needs"):
+            chaos.refine(f, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # every coarse key's matching table fits, the whole fine expansion does not
+    g = ChaosExpansion(GridSpec(1.0, 2), {(0, 2): 1.0, (2,): 0.5, (2, 2): 0.25})
+    assert len(chaos.refine(g, 2).coeffs) == 15
+    monkeypatch.setattr(mi, "MAX_TABLE_BYTES", 15 * 4 - 1)
+    with pytest.raises(mi.IndexSetTooLarge, match="15 indexes"):
+        chaos.refine(g, 2)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_refine_isometry_at_sobolev_zero(n0, max_degree, n1, seed):
+    rng = np.random.default_rng(seed)
+    f = ChaosExpansion(GridSpec(1.0, n0),
+                       {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(n0, max_degree)})
+    assert chaos.sobolev_norm(chaos.refine(f, n1), 0.0) == pytest.approx(
+        chaos.sobolev_norm(f, 0.0), rel=1e-13, abs=0.0)
+
+
+def _sorted_items(f):
+    """The graded sort every expansion's items() used to go through."""
+    return tuple(sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_graded_items_equal_sorted_route(n, max_degree, shuffle, seed):
+    rng = np.random.default_rng(seed)
+    keys = [a for a in mi.enumerate_upto(n, max_degree) if rng.random() < 0.7]
+    if shuffle:
+        rng.shuffle(keys)
+    f = ChaosExpansion(GridSpec(1.0, n), {a: rng.uniform(-1, 1) for a in keys})
+    assert f.items() == _sorted_items(f)
+    # refine's output is not graded: each coarse key's fine set is inserted whole
+    fine = chaos.refine(f, 2)
+    assert fine.items() == _sorted_items(fine)
+
+
+def _write_expansion_csv_reference(f, header_lines):
+    """The csv.writer rendering the bulk writer must reproduce byte for byte."""
+    buf = io.StringIO()
+    for line in header_lines:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["multiindex", "coefficient"])
+    writer.writerows((mi.format_canonical(a), format(c, ".17g")) for a, c in _sorted_items(f))
+    return buf.getvalue()
+
+
+def test_write_expansion_csv_matches_csv_writer():
+    rng = np.random.default_rng(5)
+    keys = [(), (1,), (0, 3), (130,), (0, 0, 255), (1, 128, 0, 4000), (2, 1), (1, 0, 1)]
+    rng.shuffle(keys)  # insertion order is not graded; the output is
+    f = ChaosExpansion(GridSpec(1.0, 4), {a: rng.uniform(-1, 1) for a in keys})
+    # values that construction prunes, such as nan and -0.0, must format alike too
+    odd = dict(f.coeffs)
+    odd.update({(1,): math.nan, (0, 3): math.inf, (2, 1): -math.inf, (130,): -0.0,
+                (): 1e-300, (1, 0, 1): -1.2345678901234567e-10})
+    object.__setattr__(f, "coeffs", odd)
+    for header in ([], ["T=1.0", "label=poly:0,0,1"]):
+        buf = io.StringIO()
+        chaos.write_expansion_csv(f, buf, header)
+        assert buf.getvalue() == _write_expansion_csv_reference(f, header)
+    empty = ChaosExpansion(GridSpec(1.0, 2), {})
+    buf = io.StringIO()
+    chaos.write_expansion_csv(empty, buf)
+    assert buf.getvalue() == _write_expansion_csv_reference(empty, []) == "multiindex,coefficient\n"
+
+
+def test_csv_field_template_matches_csv_writer():
+    keys = [(), (3,), (200,), (1, 2), (0, 0, 7), (128, 0, 1000, 5)]
+    for a in keys:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([mi.format_canonical(a), "x"])
+        assert chaos.csv_field_template(len(a)) % a + ",x\n" == buf.getvalue()
+
+
+def test_remembered_computes_once_per_name_and_args():
+    f = ChaosExpansion(GridSpec(1.0, 2), {(1,): 2.0})
+    calls = []
+    for args in [(1, 2), (1, 2), (2, 1)]:
+        got = f.remembered("probe", args, lambda: calls.append(args) or len(calls))
+    assert calls == [(1, 2), (2, 1)] and got == 2
+    assert f.remembered("probe", (1, 2), lambda: 0) == 1
+    # other names under the same arguments are kept apart
+    assert f.remembered("other", (1, 2), lambda: 7) == 7

@@ -344,3 +344,34 @@ def test_rate_report():
         assert err <= bound * (1 + 1e-12)
     with pytest.raises(ValueError):
         co.rate_report("h2", f, 1, 0.0, 1.0, [8, 4])
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(lambda a: a[-1] > 0),
+       st.integers(1, 4), st.integers(1, 4))
+def test_tail_mass_partition(a, n, n1):
+    # the weights a!/a'! N1^{-|a|} over the matching fine a' sum to one; those
+    # whose last entry exceeds n are the tail mass
+    a = tuple(a)
+    weights = {
+        af: Fraction(mi.factorial(a), mi.factorial(af) * n1 ** sum(a))
+        for af in mi.enumerate_matching(a, len(a), n1)
+    }
+    assert sum(weights.values()) == 1
+    tail = sum(w for af, w in weights.items() if af[-1] > n)
+    assert co.tail_mass(a, n, n1) == pytest.approx(float(tail), rel=1e-13, abs=1e-300)
+
+
+def test_err_norm_refined_remembered_per_expansion(monkeypatch):
+    rng = np.random.default_rng(37)
+    coeffs = {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(3, 5)}
+    f = ChaosExpansion(GridSpec(1.0, 3), coeffs)
+    fresh = [co.err_norm_refined(ChaosExpansion(GridSpec(1.0, 3), coeffs), n, n1, s)
+             for n, n1, s in [(1, 4, 0.0), (2, 64, -1.0), (1, 4, 1.5)]]
+    tables = []
+    table = co._tail_mass_table
+    monkeypatch.setattr(co, "_tail_mass_table", lambda *key: tables.append(key) or table(*key))
+    for (n, n1, s), value in zip([(1, 4, 0.0), (2, 64, -1.0), (1, 4, 1.5)], fresh):
+        # the r list repeats (n, N1, s): the norm is computed once, bit-equal
+        assert [co.verify_bound(f, n, n1, s, r).lhs for r in (0.0, 0.5, 1.0)] == [value] * 3
+    assert len(tables) == 3

@@ -1,4 +1,6 @@
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -9,8 +11,16 @@ from pathlib import Path
 import pytest
 
 from chaosco import cli
+from chaosco import multiindex as mi
+from chaosco.chaos import GridSpec
+from chaosco.clark_ocone import decompose, verify_bound
 from chaosco.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
-from chaosco.montecarlo import DigitalPayoff, OccupationTimePayoff, PolynomialPayoff
+from chaosco.montecarlo import (
+    DigitalPayoff,
+    OccupationTimePayoff,
+    PolynomialPayoff,
+    coeffs_terminal,
+)
 
 
 def _rows(path):
@@ -445,3 +455,77 @@ def test_expand_peak_memory(tmp_path):
          "--max-degree", "12", "--out", str(tmp_path / "expand.csv")])
     assert code == EXIT_OK
     assert peak_mb < 64.0
+
+
+def _csv_rendering(command, cfg, columns, rows, comments=(), trailer=()):
+    """The csv.writer rendering of a table that the CLI must reproduce byte for byte."""
+    buf = io.StringIO()
+    for line in [*cli._header_lines(command, cfg), *comments]:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    for line in trailer:
+        buf.write(f"{line}\n")
+    return buf.getvalue()
+
+
+def _resolved(argv):
+    args = cli.build_parser().parse_args(argv)
+    return cli.resolve_config(args.command, args)
+
+
+def test_verify_bound_and_decompose_bytes_match_csv_module(tmp_path):
+    out = tmp_path / "out.csv"
+    common = ["--payoff", "poly:0,0,1", "--N0", "3", "--max-degree", "4", "--out", str(out)]
+    f = coeffs_terminal(PolynomialPayoff((0.0, 0.0, 1.0)), GridSpec(1.0, 3), 4)
+
+    argv = ["verify-bound", *common]
+    assert main(argv) == EXIT_OK
+    cfg = _resolved(argv)
+    rows = []
+    for n, n1, s, r in itertools.product(cfg["order_n_list"], cfg["N1_list"],
+                                         cfg["sobolev_s_list"], cfg["interp_r_list"]):
+        check = verify_bound(f, n, n1, s, r)
+        rows.append(("poly:0,0,1", n, n1, format(s, "g"), format(r, "g"),
+                     format(check.lhs, ".17g"), format(check.rhs, ".17g"),
+                     str(check.holds).lower(), format(check.slack, ".17g")))
+    columns = ["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"]
+    text = out.read_text()
+    assert text == _csv_rendering("verify-bound", cfg, columns, rows)
+    assert '\n"poly:0,0,1",1,4,-1,0,' in text
+
+    argv = ["decompose", *common]
+    assert main(argv) == EXIT_OK
+    d = decompose(f)
+    rows = [(term.ell, term.m, mi.format_canonical(a), format(c, ".17g"))
+            for term in d.terms for a, c in term.integrand.items()]
+    assert any(len(row[2].split(",")) > 1 for row in rows)
+    assert out.read_text() == _csv_rendering(
+        "decompose", _resolved(argv), ["ell", "m", "multiindex", "coefficient"], rows,
+        comments=[f"mean={format(d.mean, '.17g')}"])
+
+
+def test_write_table_matches_csv_module(tmp_path):
+    out = tmp_path / "table.csv"
+    cfg = {"payoff": "poly:0,0,1", "N1_list": [4, 8], "out": str(out)}
+    values = [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+    rows = [(n1, x, -x, n1 % 2 == 0) for n1, x in enumerate(values, start=1)]
+    cli._write_table("rate-sweep", cfg, ["N1", "error_norm", "bound", "holds"],
+                     "%d,%.17g,%.17g,%s\n",
+                     [(n1, x, y, cli._HOLDS[holds]) for n1, x, y, holds in rows],
+                     comments=["method=a,b"], trailer=["slope=nan"])
+    expected = [(n1, format(x, ".17g"), format(y, ".17g"), str(holds).lower())
+                for n1, x, y, holds in rows]
+    assert out.read_text() == _csv_rendering(
+        "rate-sweep", cfg, ["N1", "error_norm", "bound", "holds"], expected,
+        comments=["method=a,b"], trailer=["slope=nan"])
+
+
+def test_csv_field_matches_csv_module():
+    labels = ["random-000", "poly:0,0,1", "digital:0.5", 'say "hi"', "a\nb", "a\rb",
+              " lead", "tab\there", "", "quote\",\"comma"]
+    for label in labels:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([label, 1])
+        assert cli._csv_field(label) + ",1\n" == buf.getvalue()

@@ -494,3 +494,19 @@ def test_payoff_label():
     assert mc.payoff_label(mc.PolynomialPayoff((0.0, 1.0))) == "poly:0,1"
     assert mc.payoff_label(mc.DigitalPayoff(1.5)) == "digital:1.5"
     assert mc.payoff_label(mc.OccupationTimePayoff()) == "occupation"
+
+
+def test_brownian_paths_checked_and_bit_equal(monkeypatch):
+    batch = mc.sample_paths(GridSpec(2.0, 4), 10_000, seed=3)
+    increments = batch.increments
+    expected = np.cumsum(math.sqrt(batch.grid.dt) * increments, axis=1)
+    assert np.array_equal(batch.brownian_paths(), expected)
+    assert np.array_equal(batch.increments, increments)  # the cached draws stay as drawn
+    # with the increments cached, the paths are the next samples * N * 8 bytes:
+    # 320,000 of them, against 100 pages of 4096 bytes and then 78
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+    monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
+    assert np.array_equal(batch.brownian_paths(), expected)
+    pages["SC_PHYS_PAGES"] = 78
+    with pytest.raises(mc.PathBatchTooLarge, match="Brownian paths .* 320000 bytes"):
+        batch.brownian_paths()

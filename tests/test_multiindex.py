@@ -202,3 +202,18 @@ def test_index_set_size_guard():
         mi.matching_table((12, 12, 12), 3, 64)
     with pytest.raises(ValueError):
         mi.composition_table(-1, 2)
+
+
+def test_check_refinement_size(monkeypatch):
+    # one coarse key whose matching set alone is far beyond the limit
+    rows = math.comb(12 + 63, 63) ** 4
+    with pytest.raises(mi.IndexSetTooLarge, match=f"{rows} indexes on 256 slots"):
+        mi.check_refinement_size([(12, 12, 12, 12)], 4, 64)
+    # keys that each fit, but not together: 3 + 3 + 9 rows of 4 int8 slots
+    keys = [(0, 2), (2,), (2, 2)]
+    mi.check_refinement_size(keys, 2, 2)
+    monkeypatch.setattr(mi, "MAX_TABLE_BYTES", 15 * 4 - 1)
+    for a in keys:
+        mi.check_refinement_size([a], 2, 2)
+    with pytest.raises(mi.IndexSetTooLarge, match="15 indexes on 4 slots needs 60 bytes"):
+        mi.check_refinement_size(keys, 2, 2)
