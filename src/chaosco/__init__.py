@@ -11,6 +11,7 @@ from .clark_ocone import (
     error_norm_bound,
     reconstruct,
     verify_bound,
+    verify_bounds,
 )
 from .montecarlo import (
     DigitalPayoff,
@@ -33,6 +34,7 @@ __all__ = [
     "err_norm_refined",
     "error_norm_bound",
     "verify_bound",
+    "verify_bounds",
     "PolynomialPayoff",
     "SmoothPayoff",
     "DigitalPayoff",

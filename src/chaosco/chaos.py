@@ -61,7 +61,7 @@ class ChaosExpansion:
 
     def __post_init__(self):
         keys = self.coeffs.keys()
-        if _canonical_keys(keys, self.grid.N):
+        if type(self.coeffs) is _CanonicalCoeffs or _canonical_keys(keys, self.grid.N):
             # distinct canonical keys: nothing to trim or merge
             values = map(float, self.coeffs.values())
             clean = {key: value for key, value in zip(keys, values) if abs(value) > COEFF_PRUNE}
@@ -163,6 +163,16 @@ class ChaosExpansion:
         return self.remembered("log_norm_sq", (s,), compute)
 
 
+class _CanonicalCoeffs(dict):
+    """Coefficients whose keys their builder made distinct and canonical on the grid.
+
+    Built in this package only, by code that derives every key from a
+    canonical expansion's keys or from an index table of the grid; for it,
+    :class:`ChaosExpansion` skips :func:`_canonical_keys` but still converts
+    and prunes the values.
+    """
+
+
 def _canonical_keys(keys, n: int) -> bool:
     """True when every key is a canonical index on at most n slots.
 
@@ -197,7 +207,7 @@ def conditional_expectation(f: ChaosExpansion, ell: int) -> ChaosExpansion:
     """Projection onto indexes supported in the first ``ell`` slots."""
     if not 0 <= ell <= f.grid.N:
         raise ValueError(f"ell must be in [0, {f.grid.N}]")
-    kept = {a: c for a, c in f.coeffs.items() if len(a) <= ell}
+    kept = _CanonicalCoeffs({a: c for a, c in f.coeffs.items() if len(a) <= ell})
     return ChaosExpansion(f.grid, kept)
 
 
@@ -376,10 +386,10 @@ def refine(f: ChaosExpansion, n1: int) -> ChaosExpansion:
     n0 = f.grid.N
     fine_grid = GridSpec(f.grid.T, n0 * n1)
     if n1 == 1:
-        return ChaosExpansion(fine_grid, dict(f.coeffs))
+        return ChaosExpansion(fine_grid, _CanonicalCoeffs(f.coeffs))
     mi.check_refinement_size(f.coeffs, n0, n1)
     log_factorials = mi.log_factorial_table(f.max_degree())
-    out: Dict[MultiIndex, float] = {}
+    out = _CanonicalCoeffs()
     # fine sets of distinct coarse indexes are disjoint: no key repeats
     for a, c in f.coeffs.items():
         m = sum(a)

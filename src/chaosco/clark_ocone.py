@@ -14,15 +14,17 @@ table with the expansion's degree classes.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from . import multiindex as mi
-from .chaos import ChaosExpansion, GridSpec
+from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs
 from .multiindex import MultiIndex
 
 
@@ -66,7 +68,7 @@ class RateReport:
 
 def decompose(f: ChaosExpansion) -> ClarkOconeDecomposition:
     """Group coefficients by (last nonzero slot, its value)."""
-    groups: Dict[Tuple[int, int], Dict[MultiIndex, float]] = {}
+    groups: Dict[Tuple[int, int], Dict[MultiIndex, float]] = defaultdict(_CanonicalCoeffs)
     for a, c in f.coeffs.items():
         if not a:
             continue
@@ -74,7 +76,7 @@ def decompose(f: ChaosExpansion) -> ClarkOconeDecomposition:
         head = a[:-1]
         while head and not head[-1]:  # keep the integrand's keys canonical
             head = head[:-1]
-        groups.setdefault((ell, m), {})[head] = c
+        groups[ell, m][head] = c
     terms = [
         ClarkOconeTerm(ell, m, ChaosExpansion(f.grid, coeffs))
         for (ell, m), coeffs in sorted(groups.items())
@@ -117,7 +119,7 @@ def err_tail(f: ChaosExpansion, n: int) -> ChaosExpansion:
     """Coefficients whose last nonzero entry exceeds n (the order-n error)."""
     if n < 1:
         raise ValueError("error order n must be >= 1")
-    kept = {a: c for a, c in f.coeffs.items() if a and a[-1] > n}
+    kept = _CanonicalCoeffs({a: c for a, c in f.coeffs.items() if a and a[-1] > n})
     return ChaosExpansion(f.grid, kept)
 
 
@@ -221,8 +223,7 @@ def tail_mass_bound(a: MultiIndex, n: int, n1: int, r: float) -> float:
     a = mi.canonical(a)
     if not a:
         raise ValueError("tail mass bound of the zero index is undefined")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("interpolation exponent r must lie in [0, 1]")
+    _check_interpolation(r)
     _check_orders(n, n1)
     return math.exp(r * (n * math.log(sum(a)) - _log_denominator(n, n1)))
 
@@ -256,13 +257,21 @@ def error_norm_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> 
     overflows at high orders; the norm is computed once per expansion and
     Sobolev index s + r n.
     """
+    _check_interpolation(r)
+    _check_orders(n, n1)
+    return _bound(f, n, s, r, _log_denominator(n, n1))
+
+
+def _check_interpolation(r: float) -> None:
     if not 0.0 <= r <= 1.0:
         raise ValueError("interpolation exponent r must lie in [0, 1]")
-    _check_orders(n, n1)
+
+
+def _bound(f: ChaosExpansion, n: int, s: float, r: float, log_den: float) -> float:
+    """:func:`error_norm_bound` with log(n! N1^n) given; 0.0 for the zero expansion."""
     if not f.coeffs:
         return 0.0
-    log_norm_sq = f.log_sobolev_norm_sq(s + r * n)
-    return math.exp(0.5 * (log_norm_sq - r * _log_denominator(n, n1)))
+    return math.exp(0.5 * (f.log_sobolev_norm_sq(s + r * n) - r * log_den))
 
 
 @dataclass(frozen=True)
@@ -282,10 +291,47 @@ def bound_holds(lhs: float, rhs: float) -> bool:
     return lhs <= rhs * (1.0 + BOUND_REL_SLACK)
 
 
+#: one row of :func:`verify_bounds`: (n, N1, s, r, lhs, rhs, holds, slack)
+BoundRow = Tuple[int, int, float, float, float, float, bool, float]
+
+
+def verify_bounds(
+    f: ChaosExpansion,
+    orders: Iterable[int],
+    n1_list: Iterable[int],
+    s_list: Iterable[float],
+    r_list: Iterable[float],
+) -> Iterator[BoundRow]:
+    """The bound table of one expansion, in ``itertools.product`` order.
+
+    Row (n, N1, s, r) holds lhs = err_norm_refined(f, n, N1, s), its bound
+    rhs = error_norm_bound(f, n, N1, s, r), whether lhs is within it
+    (:func:`bound_holds`) and the slack rhs - lhs.  lhs is computed once per
+    (n, N1, s) and log(n! N1^n) once per (n, N1).  Every n, N1 and r is
+    checked before the first row.
+    """
+    orders, n1_list, s_list, r_list = map(tuple, (orders, n1_list, s_list, r_list))
+    for n, n1 in itertools.product(orders, n1_list):
+        _check_orders(n, n1)
+    for r in r_list:
+        _check_interpolation(r)
+    return _bound_rows(f, orders, n1_list, s_list, r_list)
+
+
+def _bound_rows(f, orders, n1_list, s_list, r_list) -> Iterator[BoundRow]:
+    for n, n1 in itertools.product(orders, n1_list):
+        log_den = _log_denominator(n, n1)
+        for s in s_list:
+            lhs = err_norm_refined(f, n, n1, s)
+            for r in r_list:
+                rhs = _bound(f, n, s, r, log_den)
+                yield n, n1, s, r, lhs, rhs, bound_holds(lhs, rhs), rhs - lhs
+
+
 def verify_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> BoundCheck:
-    lhs = err_norm_refined(f, n, n1, s)
-    rhs = error_norm_bound(f, n, n1, s, r)
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=bound_holds(lhs, rhs), slack=rhs - lhs)
+    """The one-row :func:`verify_bounds` table at (n, N1, s, r)."""
+    (*_, lhs, rhs, holds, slack), = verify_bounds(f, [n], [n1], [s], [r])
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=holds, slack=slack)
 
 
 def malliavin_derivative_squared_integral(f: ChaosExpansion, order: int) -> float:

@@ -17,9 +17,9 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import multiindex as mi
 from .chaos import ChaosExpansion, GridSpec, csv_field_template, write_expansion_csv
-from .clark_ocone import bound_holds, decompose, verify_bound
+from .clark_ocone import bound_holds, decompose, verify_bounds
 from .montecarlo import (
     DigitalPayoff,
     OccupationTimePayoff,
@@ -188,6 +188,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> Dict[str, object]:
     """
     file_values = {}
     if getattr(args, "config", None):
+        import json  # only runs with a config file pay for it
+
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
@@ -236,15 +238,25 @@ def _header_lines(command: str, cfg: Dict[str, object]) -> List[str]:
     return lines
 
 
-def _write_atomic(path: Optional[str], text: str) -> None:
+def _write_lines(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` as they come, or to stdout; all or nothing.
+
+    The lines go into a temporary file in the target's directory, which is
+    renamed over ``path`` once the last line is written and deleted if any
+    line fails.  With no path the temporary file is anonymous and is copied
+    to stdout on success.
+    """
     if path is None:
-        sys.stdout.write(text)
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+            fh.seek(0)
+            shutil.copyfileobj(fh, sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -252,15 +264,20 @@ def _write_atomic(path: Optional[str], text: str) -> None:
         raise
 
 
+def _write_atomic(path: Optional[str], text: str) -> None:
+    """:func:`_write_lines` of one piece of text, as ``expand`` writes it."""
+    _write_lines(path, [text])
+
+
 def _write_table(command: str, cfg: Dict[str, object], columns: List[str], template: str,
                  rows: Iterable[tuple], comments: Sequence[str] = (),
                  trailer: Sequence[str] = ()) -> None:
     """Header and extra "#" lines, the CSV table, then trailer lines, written atomically.
 
-    Each row is ``template % row``, one line.  Templates write floats as
-    ``%.17g`` (every double round-trips, so outputs are byte-stable) and
-    text with ``%s``; text that csv.writer would quote goes in as
-    :func:`_csv_field` gives it.
+    Each row is ``template % row``, one line, written as ``rows`` yields it.
+    Templates write floats as ``%.17g`` (every double round-trips, so
+    outputs are byte-stable) and text with ``%s``; text that csv.writer
+    would quote goes in as :func:`_csv_field` gives it.
     """
     lines = itertools.chain(
         [f"# {line}\n" for line in [*_header_lines(command, cfg), *comments]],
@@ -268,7 +285,7 @@ def _write_table(command: str, cfg: Dict[str, object], columns: List[str], templ
         map(template.__mod__, rows),
         [f"{line}\n" for line in trailer],
     )
-    _write_atomic(cfg["out"], "".join(lines))
+    _write_lines(cfg["out"], lines)
 
 
 def _csv_field(text: str) -> str:
@@ -320,26 +337,29 @@ def cmd_verify_bound(cfg: Dict[str, object]) -> int:
     grid = GridSpec(cfg["T"], cfg["N0"])
     if cfg["payoff"] == "random":
         rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
-        cases = [
+        # drawn one case at a time, as the rows reach it: the same draws in
+        # the same order as drawing every case first
+        cases = (
             (f"random-{i:03d}", _random_expansion(rng, grid, cfg["max_degree"]))
             for i in range(cfg["cases"])
-        ]
+        )
     else:
         cases = [(cfg["payoff"], _payoff_expansion(cfg))]
-    cases = [(_csv_field(label), expansion) for label, expansion in cases]
-    checks = [
-        (label, n, n1, s, r, verify_bound(expansion, n, n1, s, r))
-        for (label, expansion), n, n1, s, r in itertools.product(
-            cases, cfg["order_n_list"], cfg["N1_list"], cfg["sobolev_s_list"], cfg["interp_r_list"])
-    ]
-    rows = (
-        (label, n, n1, s, r, check.lhs, check.rhs, _HOLDS[check.holds], check.slack)
-        for label, n, n1, s, r, check in checks
-    )
+    lists = [cfg[name] for name in ("order_n_list", "N1_list", "sobolev_s_list", "interp_r_list")]
+    all_hold = True
+
+    def rows():
+        nonlocal all_hold
+        for label, expansion in cases:
+            label = _csv_field(label)
+            for n, n1, s, r, lhs, rhs, holds, slack in verify_bounds(expansion, *lists):
+                all_hold = all_hold and holds
+                yield label, n, n1, s, r, lhs, rhs, _HOLDS[holds], slack
+
     _write_table("verify-bound", cfg,
                  ["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"],
-                 "%s,%d,%d,%g,%g,%.17g,%.17g,%s,%.17g\n", rows)
-    return EXIT_OK if all(check.holds for *_, check in checks) else EXIT_NUMERICAL
+                 "%s,%d,%d,%g,%g,%.17g,%.17g,%s,%.17g\n", rows())
+    return EXIT_OK if all_hold else EXIT_NUMERICAL
 
 
 def cmd_rate_sweep(cfg: Dict[str, object]) -> int:

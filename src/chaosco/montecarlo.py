@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -21,9 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import clark_ocone, hermite, multiindex as mi
-from .chaos import ChaosExpansion, GridSpec, evaluate
+from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, evaluate
 from .clark_ocone import RateReport, err_tail, rate_report
-from .multiindex import MultiIndex
 
 #: per-block sample count for counter-based generation
 SAMPLE_BLOCK = 4096
@@ -130,7 +128,7 @@ def coeffs_terminal(
     d = hermite_expand_terminal(payoff, grid.T, max_degree)
     log_factorials = mi.log_factorial_table(max_degree)
     log_n = math.log(grid.N)
-    coeffs: Dict[MultiIndex, float] = {}
+    coeffs = _CanonicalCoeffs()
     for m, keys, table in _degree_tables(grid.N, max_degree):
         if abs(d[m]) <= 0.0:
             continue
@@ -166,7 +164,7 @@ def coeffs_occupation_time(grid: GridSpec, max_degree: int) -> ChaosExpansion:
     d = hermite_expand_terminal(DigitalPayoff(0.0), 1.0, max_degree)
     tail_sums = _inverse_power_tail_sums(grid.N, max_degree)
     log_factorials = mi.log_factorial_table(max_degree)
-    coeffs: Dict[MultiIndex, float] = {(): grid.T / 2.0}
+    coeffs = _CanonicalCoeffs({(): grid.T / 2.0})
     for m, keys, table in _degree_tables(grid.N, max_degree):
         if m == 0 or d[m] == 0.0:
             continue
@@ -305,6 +303,9 @@ def _run_lanes(lane: Callable[[int, int], None], lanes: int) -> None:
     index, so results do not depend on the lane count.
     """
     if lanes > 1:
+        # imported here: most runs have one lane and never pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=lanes) as pool:
             list(pool.map(lambda i: lane(i, lanes), range(lanes)))
     else:

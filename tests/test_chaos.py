@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tracemalloc
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -88,6 +89,10 @@ def test_expansion_bulk_key_check_cases():
     assert ChaosExpansion(g, {(1, 0, 0, 0): 1.0}).coeffs == {(1,): 1.0}
     assert ChaosExpansion(g, {}).coeffs == {}
     assert ChaosExpansion(g, {(): 0.5, (0, 2): 1e-15}).coeffs == {(): 0.5}
+    # only the builders' own marker skips the check, not other dict subclasses
+    assert ChaosExpansion(g, OrderedDict({(1, 0): 2.0, (1,): 1.0})).coeffs == {(1,): 3.0}
+    with pytest.raises(ValueError, match="non-negative"):
+        ChaosExpansion(g, Counter({(1, -1): 1}))
 
 
 def test_sobolev_index_memos():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -289,6 +290,64 @@ def test_verify_bound():
        st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_verify_bound_holds(f, n, n1, s, r):
     assert co.verify_bound(f, n, n1, s, r).holds
+
+
+def _bound_rows_reference(f, orders, n1_list, s_list, r_list):
+    """One row per (n, N1, s, r) from the per-row functions, on a fresh copy of f."""
+    rows = []
+    for n, n1, s, r in itertools.product(orders, n1_list, s_list, r_list):
+        g = ChaosExpansion(f.grid, dict(f.coeffs))
+        lhs = co.err_norm_refined(g, n, n1, s)
+        rhs = co.error_norm_bound(g, n, n1, s, r)
+        rows.append((n, n1, s, r, lhs, rhs, co.bound_holds(lhs, rhs), rhs - lhs))
+    return rows
+
+
+#: orders above every test expansion's degree give lhs 0; s down to -2.5
+_BOUND_LISTS = ([1, 2, 9], [1, 3, 16], [-2.5, 0.0, 1.5], [0.0, 0.5, 1.0])
+
+
+@PROPERTY
+@given(_sparse_expansions())
+def test_verify_bounds_bit_equal_to_per_row(f):
+    rows = list(co.verify_bounds(f, *_BOUND_LISTS))
+    assert repr(rows) == repr(_bound_rows_reference(f, *_BOUND_LISTS))
+    assert all(lhs == 0.0 for n, *_, lhs, _, _, _ in rows if n == 9)
+    # verify_bound is the one-row table
+    check = co.verify_bound(f, 2, 3, -2.5, 1.0)
+    (row,) = [row for row in rows if row[:4] == (2, 3, -2.5, 1.0)]
+    assert (check.lhs, check.rhs, check.holds, check.slack) == row[4:]
+
+
+def test_verify_bounds_zero_constant_and_random():
+    g = GridSpec(1.0, 3)
+    rng = np.random.default_rng(11)
+    random = ChaosExpansion(g, {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(3, 5)})
+    for f in (ChaosExpansion(g, {}), chaos.constant(g, -2.0), random):
+        rows = list(co.verify_bounds(f, *_BOUND_LISTS))
+        assert repr(rows) == repr(_bound_rows_reference(f, *_BOUND_LISTS))
+        assert len(rows) == 81 and all(row[6] for row in rows)
+    zero_rows = list(co.verify_bounds(ChaosExpansion(g, {}), *_BOUND_LISTS))
+    assert {row[4:] for row in zero_rows} == {(0.0, 0.0, True, 0.0)}
+    const_rows = list(co.verify_bounds(chaos.constant(g, -2.0), *_BOUND_LISTS))
+    assert {row[4] for row in const_rows} == {0.0}
+
+
+@pytest.mark.parametrize("lists, message", [
+    (([1, 0], [4], [0.0], [0.5]), "n and N1 must be >= 1"),
+    (([1], [4, 0], [0.0], [0.5]), "n and N1 must be >= 1"),
+    (([1], [4], [0.0], [0.5, 1.5]), "interpolation exponent r must lie in"),
+    (([1], [4], [0.0], [-0.5]), "interpolation exponent r must lie in"),
+])
+def test_verify_bounds_checks_every_list_first(lists, message, monkeypatch):
+    f = ChaosExpansion(GridSpec(1.0, 2), {(1, 2): 1.0})
+    computed = []
+    monkeypatch.setattr(co, "err_norm_refined", lambda *a: computed.append(a))
+    with pytest.raises(ValueError, match=message):
+        co.verify_bounds(f, *lists)
+    assert computed == []
+    with pytest.raises(ValueError, match=message):
+        co.verify_bound(f, *(values[-1] for values in lists))
 
 
 def test_zeta_error_bound():

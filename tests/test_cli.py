@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chaosco import cli
@@ -504,6 +506,81 @@ def test_verify_bound_and_decompose_bytes_match_csv_module(tmp_path):
     assert out.read_text() == _csv_rendering(
         "decompose", _resolved(argv), ["ell", "m", "multiindex", "coefficient"], rows,
         comments=[f"mean={format(d.mean, '.17g')}"])
+
+
+def _verify_random_rendering(cfg):
+    """verify-bound --payoff random as it was written: every case drawn first,
+    then one ``verify_bound`` per row, rendered by csv.writer."""
+    rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
+    grid = GridSpec(cfg["T"], cfg["N0"])
+    cases = [(f"random-{i:03d}", cli._random_expansion(rng, grid, cfg["max_degree"]))
+             for i in range(cfg["cases"])]
+    rows = []
+    for (label, f), n, n1, s, r in itertools.product(
+            cases, cfg["order_n_list"], cfg["N1_list"], cfg["sobolev_s_list"],
+            cfg["interp_r_list"]):
+        check = verify_bound(f, n, n1, s, r)
+        rows.append((label, n, n1, format(s, "g"), format(r, "g"), format(check.lhs, ".17g"),
+                     format(check.rhs, ".17g"), str(check.holds).lower(),
+                     format(check.slack, ".17g")))
+    columns = ["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"]
+    return _csv_rendering("verify-bound", cfg, columns, rows)
+
+
+def test_verify_bound_memory_does_not_grow_with_cases(tmp_path):
+    # cases are drawn and their rows written one at a time: the peak at 400
+    # cases stays near the peak at 100 (it was 4x, about 0.1 MB per case)
+    def run(cases):
+        out = tmp_path / f"vb{cases}.csv"
+        argv = ["verify-bound", "--payoff", "random", "--N0", "2", "--max-degree", "4",
+                "--cases", str(cases), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, out.read_text(), _resolved(argv)
+
+    run(2)  # the tail-mass tables and other per-process caches
+    peak100, text100, cfg100 = run(100)
+    peak400, text400, _ = run(400)
+    assert peak400 < 1.5 * peak100
+    assert text100 == _verify_random_rendering(cfg100)
+    # the first 100 cases are the same draws, so the same rows
+    body100 = text100.split("slack\n", 1)[1]
+    assert text400.split("slack\n", 1)[1].startswith(body100)
+
+
+def test_verify_bound_failed_row_exits_numerical(tmp_path):
+    # at s = 400 the weights (1 + |a|)^s overflow in the refined norm, which
+    # reads inf, while the log-space bound stays finite: those rows fail
+    out = tmp_path / "vb.csv"
+    argv = ["verify-bound", "--payoff", "digital:0", "--N0", "1", "--max-degree", "6",
+            "--sobolev-s-list", "0,400", "--out", str(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == EXIT_NUMERICAL
+    body = _rows(str(out))[1:]
+    assert len(body) == 3 * 7 * 2 * 3
+    assert [r[7] for r in body] == [{"0": "true", "400": "false"}[r[3]] for r in body]
+    # every row of a random suite is written before the failed one decides the exit
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify-bound", "--payoff", "random", "--N0", "1", "--max-degree", "6",
+                     "--cases", "2", "--sobolev-s-list", "400,0", "--out", str(out)]
+                    ) == EXIT_NUMERICAL
+    assert len(_rows(str(out))) == 1 + 2 * 3 * 7 * 2 * 3
+
+
+def test_startup_imports_no_thread_pool_or_json():
+    # concurrent.futures is imported for a multi-threaded run and json for a
+    # config file; importing the CLI pays for neither
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, chaosco.cli; "
+            "print(sorted({'concurrent.futures', 'json'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 def test_write_table_matches_csv_module(tmp_path):

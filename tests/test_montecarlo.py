@@ -162,6 +162,51 @@ def test_coeffs_occupation_time_bit_equal_to_loop(n, max_degree, horizon):
     )
 
 
+_BUILDER_PAYOFFS = st.sampled_from([
+    mc.DigitalPayoff(0.0),
+    mc.DigitalPayoff(-0.7),
+    mc.PolynomialPayoff((1.0, -2.0, 0.0, 0.5, 0.25)),
+    mc.SmoothPayoff(np.cos, lambda x: -np.sin(x), "cos"),
+])
+
+
+def _builder_expansions(payoff, grid, max_degree, n1, order, ell):
+    """What each builder that skips the key check makes from one payoff."""
+    f = mc.coeffs_terminal(payoff, grid, max_degree)
+    occupation = mc.coeffs_occupation_time(grid, max_degree)
+    built = [f, occupation, chaos.refine(f, n1), chaos.refine(occupation, n1),
+             co.err_tail(f, order), chaos.conditional_expectation(f, ell)]
+    built += [term.integrand for term in co.decompose(f).terms]
+    built += [term.integrand for term in co.decompose(occupation).terms]
+    return built
+
+
+@PROPERTY
+@given(_BUILDER_PAYOFFS, st.integers(1, 4), st.integers(0, 6), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 4))
+def test_builder_keys_pass_the_full_check(payoff, n, max_degree, n1, order, ell):
+    # builders skip _canonical_keys: their keys must pass it, and the
+    # expansion must be what the checked path makes of the same dict
+    grid = GridSpec(1.0, n)
+    for f in _builder_expansions(payoff, grid, max_degree, n1, order, min(ell, n)):
+        assert chaos._canonical_keys(f.coeffs.keys(), f.grid.N)
+        assert type(f.coeffs) is dict
+        checked = ChaosExpansion(f.grid, dict(f.coeffs))
+        assert list(checked.coeffs.items()) == list(f.coeffs.items())
+
+
+def test_builders_skip_the_key_check(monkeypatch):
+    def refuse(keys, n):
+        raise AssertionError("builder-made keys were checked again")
+
+    monkeypatch.setattr(chaos, "_canonical_keys", refuse)
+    built = _builder_expansions(mc.DigitalPayoff(0.0), GridSpec(1.0, 3), 5, 2, 1, 2)
+    assert all(f.coeffs for f in built[:4])
+    # any other mapping still goes through the check
+    with pytest.raises(AssertionError, match="checked again"):
+        ChaosExpansion(GridSpec(1.0, 3), dict(built[0].coeffs))
+
+
 def test_coeffs_terminal_high_degree_bit_equal_to_loop():
     for payoff, grid, degree in [(mc.DigitalPayoff(0.0), GridSpec(1.0, 1), 400),
                                  (mc.DigitalPayoff(0.5), GridSpec(1.0, 2), 60),
