@@ -60,11 +60,11 @@ class ChaosExpansion:
     coeffs: Mapping[MultiIndex, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        keys = self.coeffs.keys()
-        if type(self.coeffs) is _CanonicalCoeffs or _canonical_keys(keys, self.grid.N):
+        if type(self.coeffs) is _CanonicalCoeffs:
             # distinct canonical keys: nothing to trim or merge
             values = map(float, self.coeffs.values())
-            clean = {key: value for key, value in zip(keys, values) if abs(value) > COEFF_PRUNE}
+            clean = {key: value for key, value in zip(self.coeffs, values)
+                     if abs(value) > COEFF_PRUNE}
         else:
             clean = {}
             for key, value in self.coeffs.items():
@@ -137,30 +137,28 @@ class ChaosExpansion:
             value = self._results[key] = compute()
             return value
 
-    def class_weights(self, s: float) -> np.ndarray:
-        """(1 + |a|)^s for each degree class, read-only and remembered per s."""
+    def sobolev_classes(self, s: float) -> Tuple[float, np.ndarray, float]:
+        """The Sobolev-s weights (1+|a|)^s of the degree classes, scaled to stay finite.
 
-        def compute():
-            weights = (1.0 + self.degree_classes[0]) ** s
-            weights.flags.writeable = False
-            return weights
-
-        return self.remembered("weights", (s,), compute)
-
-    def log_sobolev_norm_sq(self, s: float) -> float:
-        """log ||F||_{2,s}^2 from the degree classes, remembered per s.
-
-        Summed in log space, so (1+|a|)^s does not overflow at large s.
-        The zero expansion has no classes; callers handle it first.
+        Returns (scale, ratios, total): scale is the log of the largest
+        class weight, ratios is each class weight divided by it (so at most
+        1, read-only) and total is the ratio-weighted class mass, so that
+        ||F||_{2,s}^2 = e^scale total.  No ratio overflows at any s; at s = 0
+        every ratio is 1.0 and the scale is 0.0.  Remembered per s.
         """
 
         def compute():
             degree, _, weight = self.degree_classes
-            log_terms = s * np.log1p(degree) + np.log(weight)
-            top = float(log_terms.max())
-            return top + math.log(float(np.exp(log_terms - top).sum()))
+            # classes are sorted by degree: the largest weight is at an end
+            top = int(degree[-1] if s > 0 else degree[0]) if degree.size else 0
+            scale = s * math.log1p(top)
+            if scale == math.inf:
+                raise OverflowError(f"log (1+|a|)^s overflows at s={s!r}")
+            ratios = ((1.0 + degree) / (1.0 + top)) ** s
+            ratios.flags.writeable = False
+            return scale, ratios, float(ratios @ weight)
 
-        return self.remembered("log_norm_sq", (s,), compute)
+        return self.remembered("sobolev", (s,), compute)
 
 
 class _CanonicalCoeffs(dict):
@@ -168,27 +166,9 @@ class _CanonicalCoeffs(dict):
 
     Built in this package only, by code that derives every key from a
     canonical expansion's keys or from an index table of the grid; for it,
-    :class:`ChaosExpansion` skips :func:`_canonical_keys` but still converts
-    and prunes the values.
+    :class:`ChaosExpansion` skips the per-key canonical check but still
+    converts and prunes the values.
     """
-
-
-def _canonical_keys(keys, n: int) -> bool:
-    """True when every key is a canonical index on at most n slots.
-
-    That is a tuple of ``int`` entries (not ``bool``), none negative, the
-    last one nonzero.  Each test is one pass of C-level iteration.
-    """
-    if not keys:
-        return True
-    if set(map(type, keys)) != {tuple} or max(map(len, keys)) > n:
-        return False
-    if not set(map(type, itertools.chain.from_iterable(keys))) <= {int}:
-        return False
-    nonempty = list(filter(None, keys))
-    return min(map(min, nonempty), default=0) >= 0 and 0 not in map(
-        operator.itemgetter(-1), nonempty
-    )
 
 
 def constant(grid: GridSpec, value: float) -> ChaosExpansion:
@@ -196,11 +176,9 @@ def constant(grid: GridSpec, value: float) -> ChaosExpansion:
 
 
 def sobolev_norm(f: ChaosExpansion, s: float) -> float:
-    """sqrt of sum over a of (1+|a|)^s c_a^2."""
-    total = 0.0
-    for a, c in f.coeffs.items():
-        total += (1.0 + sum(a)) ** s * c * c
-    return math.sqrt(total)
+    """sqrt of sum over a of (1+|a|)^s c_a^2, from :meth:`ChaosExpansion.sobolev_classes`."""
+    scale, _, total = f.sobolev_classes(s)
+    return math.exp(0.5 * scale) * math.sqrt(total)
 
 
 def conditional_expectation(f: ChaosExpansion, ell: int) -> ChaosExpansion:

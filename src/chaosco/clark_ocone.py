@@ -146,7 +146,12 @@ def _scaled_power_sums(n1: int, size: int) -> np.ndarray:
     """Q_j = sum_{l=1}^{N1} ((l-1)/(N1-1))^j for j < size, with 0^0 = 1.
 
     Each Q_j lies in [1, N1], so no entry underflows; N1 = 1 gives Q = (1, 0, ...).
+    x, the range it comes from and one block of powers, about 3 N1 doubles,
+    are checked against physical memory before allocating.
     """
+    from .montecarlo import _check_fits  # montecarlo imports this module
+
+    _check_fits(3 * n1 * 8, f"power sums over {n1} fine slots")
     x = np.arange(n1) / max(n1 - 1, 1)
     j = np.arange(size, dtype=float)
     rows = max(1, POWER_BLOCK // n1)
@@ -212,9 +217,8 @@ def tail_mass(a: MultiIndex, n: int, n1: int) -> float:
     return _tail_mass_value(a[-1], n, n1)
 
 
-@lru_cache(maxsize=4096)
 def _log_denominator(n: int, n1: int) -> float:
-    """log(n! N1^n), finite at every order; verify-bound asks for few (n, N1)."""
+    """log(n! N1^n), finite at every order."""
     return math.lgamma(n + 1) + n * math.log(n1)
 
 
@@ -234,20 +238,18 @@ def err_norm_refined(f: ChaosExpansion, n: int, n1: int, s: float) -> float:
     Fine indexes matching distinct coarse indexes are disjoint, so the squared
     norm is sum_a (1+|a|)^s c_a^2 S(a, n, N1) over the coarse support.  The
     summand depends on a only through |a| and a_ell, so the sum runs over
-    the expansion's degree classes against one tail-mass table.  The result
-    is remembered with the expansion per (n, N1, s).
+    the expansion's degree classes against one tail-mass table, with the
+    weights (1+|a|)^s scaled as :meth:`ChaosExpansion.sobolev_classes` gives
+    them, so that none overflows.
     """
     _check_orders(n, n1)
-
-    def compute():
-        degree, last, weight = f.degree_classes
-        if not last.size:
-            return 0.0
-        # classes are sorted by degree, and no last entry exceeds its degree
-        table = _tail_mass_table(n, n1, _table_size(int(degree[-1])))
-        return math.sqrt(float(weight @ (f.class_weights(s) * table[last])))
-
-    return f.remembered("err_norm_refined", (n, n1, s), compute)
+    degree, last, weight = f.degree_classes
+    if not last.size:
+        return 0.0
+    # classes are sorted by degree, and no last entry exceeds its degree
+    table = _tail_mass_table(n, n1, _table_size(int(degree[-1])))
+    scale, ratios, _ = f.sobolev_classes(s)
+    return math.exp(0.5 * scale) * math.sqrt(float(weight @ (ratios * table[last])))
 
 
 def error_norm_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> float:
@@ -271,7 +273,8 @@ def _bound(f: ChaosExpansion, n: int, s: float, r: float, log_den: float) -> flo
     """:func:`error_norm_bound` with log(n! N1^n) given; 0.0 for the zero expansion."""
     if not f.coeffs:
         return 0.0
-    return math.exp(0.5 * (f.log_sobolev_norm_sq(s + r * n) - r * log_den))
+    scale, _, total = f.sobolev_classes(s + r * n)
+    return math.exp(0.5 * (scale + math.log(total) - r * log_den))
 
 
 @dataclass(frozen=True)
@@ -415,11 +418,8 @@ def rate_report(
     """Exact refined error norms and bounds across N1 values, with a slope fit."""
     if not n1_list or any(b <= a for a, b in zip(n1_list, n1_list[1:])):
         raise ValueError("N1 list must be nonempty and strictly increasing")
-    rows = []
-    for n1 in n1_list:
-        lhs = err_norm_refined(f, n, n1, s)
-        rhs = error_norm_bound(f, n, n1, s, r)
-        rows.append((n1, lhs, rhs))
+    table = verify_bounds(f, [n], n1_list, [s], [r])
+    rows = [(n1, lhs, rhs) for _, n1, _, _, lhs, rhs, _, _ in table]
     slope, used = fit_loglog_slope([row[0] for row in rows], [row[1] for row in rows])
     return RateReport(
         payoff_id=payoff_id,

@@ -178,7 +178,11 @@ def coeffs_occupation_time(grid: GridSpec, max_degree: int) -> ChaosExpansion:
 
 
 def _inverse_power_tail_sums(n: int, max_degree: int) -> Dict[int, np.ndarray]:
-    """tail_sums[m][l-1] = sum_{i=l}^{n} i^{-m/2} for m = 1..max_degree."""
+    """tail_sums[m][l-1] = sum_{i=l}^{n} i^{-m/2} for m = 1..max_degree.
+
+    Its size, with i and one row of powers, is checked before allocating.
+    """
+    _check_fits((max_degree + 2) * n * 8, f"tail sums of degree {max_degree} on {n} slots")
     i = np.arange(1, n + 1, dtype=float)
     out = {}
     for m in range(1, max_degree + 1):
@@ -196,6 +200,9 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
     """
     if n < 1:
         raise ValueError("error order n must be >= 1")
+    # the tail sums and one (slot, order) power matrix, checked before either
+    _check_fits((2 * max_degree + 2) * grid.N * 8,
+                f"tail sums and slot powers of degree {max_degree} on {grid.N} slots")
     d = hermite_expand_terminal(DigitalPayoff(0.0), 1.0, max_degree)
     tail_sums = _inverse_power_tail_sums(grid.N, max_degree)
     earlier_slots = np.arange(grid.N, dtype=float)  # ell - 1 for ell = 1..N
@@ -216,7 +223,11 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
 
 
 class PathBatchTooLarge(ValueError):
-    """Path results would exceed physical memory; raised before allocating."""
+    """An array sized by the input would exceed physical memory; raised before allocating.
+
+    Path batches and their results, block buffers, and the slot-sized tables
+    of occupation norms and tail masses are checked this way.
+    """
 
 
 def _check_fits(n_bytes: int, what: str) -> None:
@@ -331,8 +342,11 @@ def _map_blocks(
     n, n_blocks = first.n_samples, first.n_blocks
     max_slots = max(b.grid.N for b in batches)
     _check_fits(len(batches) * n * 8, f"results of {n} paths on {len(batches)} grids")
-    outs = [np.empty(n) for _ in batches]
     size = min(n, SAMPLE_BLOCK) * max_slots
+    lanes = _pool_size(first.workers, n_blocks)
+    _check_fits(2 * lanes * size * 8,
+                f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {max_slots} slots")
+    outs = [np.empty(n) for _ in batches]
 
     def lane(first_block: int, lanes: int) -> None:
         stream, slot_buffer = np.empty(size), np.empty(size)
@@ -346,7 +360,7 @@ def _map_blocks(
                 np.copyto(xi, stream[: rows * slots].reshape(rows, slots).T)
                 out[lo:hi] = fn(xi)
 
-    _run_lanes(lane, _pool_size(first.workers, n_blocks))
+    _run_lanes(lane, lanes)
     return outs
 
 

@@ -98,14 +98,22 @@ def test_expansion_bulk_key_check_cases():
 def test_sobolev_index_memos():
     g = GridSpec(1.0, 2)
     f = ChaosExpansion(g, {(): 2.0, (1,): 0.5, (0, 3): -1.0})
-    degree = f.degree_classes[0]
     for s in (0.0, 1.5, 40.0):
-        direct = math.log(sum((1 + sum(a)) ** s * c * c for a, c in f.coeffs.items()))
-        assert f.log_sobolev_norm_sq(s) == pytest.approx(direct, rel=1e-14)
-        assert f.log_sobolev_norm_sq(s) == f.log_sobolev_norm_sq(s)
-        weights = f.class_weights(s)
-        assert weights is f.class_weights(s) and not weights.flags.writeable
-        assert weights.tolist() == ((1.0 + degree) ** s).tolist()
+        direct = sum((1 + sum(a)) ** s * c * c for a, c in f.coeffs.items())
+        classes = f.sobolev_classes(s)
+        scale, ratios, total = classes
+        assert math.exp(scale) * total == pytest.approx(direct, rel=1e-14)
+        assert classes is f.sobolev_classes(s)
+        assert not ratios.flags.writeable and ratios.max() == 1.0
+    assert f.sobolev_classes(0.0)[:1] == (0.0,) and set(f.sobolev_classes(0.0)[1]) == {1.0}
+    # the largest weight is factored out: nothing overflows where (1+|a|)^s would
+    scale, ratios, total = f.sobolev_classes(400.0)
+    assert math.isfinite(scale) and ratios.max() == 1.0
+    assert scale == pytest.approx(400 * math.log(4), rel=1e-15) and total >= 1.0
+    assert ChaosExpansion(g, {}).sobolev_classes(2.0)[::2] == (0.0, 0.0)
+    # where even the log of the largest weight is not a float, nothing is returned
+    with pytest.raises(OverflowError, match="overflows"):
+        f.sobolev_classes(1.7e308)
 
 
 def test_sobolev_norm_examples():

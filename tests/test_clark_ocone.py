@@ -228,6 +228,35 @@ def test_err_norm_refined_matches_per_coefficient_sum():
                     )
 
 
+@st.composite
+def _graded_expansions(draw):
+    """Up to 12 coefficients on 1 to 3 slots, degree up to 6."""
+    n = draw(st.integers(1, 3))
+    keys = st.sampled_from(list(mi.enumerate_upto(n, 6)))
+    coeffs = draw(st.dictionaries(keys, st.floats(-2.0, 2.0), max_size=12))
+    return ChaosExpansion(GridSpec(1.0, n), coeffs)
+
+
+@PROPERTY
+@given(_graded_expansions(), st.floats(-40.0, 40.0), st.integers(1, 3),
+       st.sampled_from([1, 2, 5, 64]))
+def test_sobolev_class_sum_matches_per_coefficient_sums(f, s, n, n1):
+    # the one scaled class sum behind sobolev_norm and err_norm_refined
+    # against per-coefficient fsums of (1+|a|)^s c_a^2 (times S for the error)
+    norm_sq = math.fsum((1.0 + sum(a)) ** s * c * c for a, c in f.coeffs.items())
+    assert chaos.sobolev_norm(f, s) == pytest.approx(math.sqrt(norm_sq), rel=1e-13, abs=0.0)
+    error_sq = math.fsum((1.0 + sum(a)) ** s * c * c * co.tail_mass(a, n, n1)
+                         for a, c in f.coeffs.items() if a)
+    assert co.err_norm_refined(f, n, n1, s) == pytest.approx(
+        math.sqrt(error_sq), rel=1e-13, abs=0.0)
+    assert all(f.sobolev_classes(s)[1] <= 1.0)
+    # at s = 0 the norm is the unscaled dot product, bit for bit
+    degree, last, weight = f.degree_classes
+    if degree.size:
+        table = co._tail_mass_table(n, n1, co._table_size(int(degree[-1])))
+        assert co.err_norm_refined(f, n, n1, 0.0) == math.sqrt(weight @ table[last])
+
+
 def test_err_norm_monotonicity():
     rng = np.random.default_rng(29)
     f = ChaosExpansion(
@@ -431,6 +460,9 @@ def test_err_norm_refined_remembered_per_expansion(monkeypatch):
     table = co._tail_mass_table
     monkeypatch.setattr(co, "_tail_mass_table", lambda *key: tables.append(key) or table(*key))
     for (n, n1, s), value in zip([(1, 4, 0.0), (2, 64, -1.0), (1, 4, 1.5)], fresh):
-        # the r list repeats (n, N1, s): the norm is computed once, bit-equal
+        # row by row, every lhs is bit-equal to a fresh expansion's norm
         assert [co.verify_bound(f, n, n1, s, r).lhs for r in (0.0, 0.5, 1.0)] == [value] * 3
-    assert len(tables) == 3
+        # a bound table computes it once for the whole r list
+        del tables[:]
+        rows = list(co.verify_bounds(f, [n], [n1], [s], [0.0, 0.5, 1.0]))
+        assert [row[4] for row in rows] == [value] * 3 and len(tables) == 1

@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chaosco import cli
+from chaosco import cli, clark_ocone
 from chaosco import multiindex as mi
 from chaosco.chaos import GridSpec
 from chaosco.clark_ocone import decompose, verify_bound
@@ -552,23 +553,77 @@ def test_verify_bound_memory_does_not_grow_with_cases(tmp_path):
     assert text400.split("slack\n", 1)[1].startswith(body100)
 
 
-def test_verify_bound_failed_row_exits_numerical(tmp_path):
-    # at s = 400 the weights (1 + |a|)^s overflow in the refined norm, which
-    # reads inf, while the log-space bound stays finite: those rows fail
+def test_verify_bound_failed_row_exits_numerical(tmp_path, monkeypatch):
+    # no bound of this suite fails, so the rule is forced to fail every
+    # s = 400 row: their lhs is above 1e100, every s = 0 lhs below 1
+    holds = clark_ocone.bound_holds
+    monkeypatch.setattr(clark_ocone, "bound_holds",
+                        lambda lhs, rhs: lhs < 1e100 and holds(lhs, rhs))
     out = tmp_path / "vb.csv"
     argv = ["verify-bound", "--payoff", "digital:0", "--N0", "1", "--max-degree", "6",
             "--sobolev-s-list", "0,400", "--out", str(out)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(argv) == EXIT_NUMERICAL
+    assert main(argv) == EXIT_NUMERICAL
     body = _rows(str(out))[1:]
     assert len(body) == 3 * 7 * 2 * 3
     assert [r[7] for r in body] == [{"0": "true", "400": "false"}[r[3]] for r in body]
     # every row of a random suite is written before the failed one decides the exit
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["verify-bound", "--payoff", "random", "--N0", "1", "--max-degree", "6",
-                     "--cases", "2", "--sobolev-s-list", "400,0", "--out", str(out)]
-                    ) == EXIT_NUMERICAL
+    assert main(["verify-bound", "--payoff", "random", "--N0", "1", "--max-degree", "6",
+                 "--cases", "2", "--sobolev-s-list", "400,0", "--out", str(out)]
+                ) == EXIT_NUMERICAL
     assert len(_rows(str(out))) == 1 + 2 * 3 * 7 * 2 * 3
+
+
+def _exact_refined_norm(coeffs, n, n1, s):
+    """err_norm_refined of an N0 = 1 expansion at an integer s, per coefficient in Fractions.
+
+    S(v, n, N1) N1^v = sum_{j<v-n} C(v, j) sum_{l<N1} l^j (tail_mass's sum);
+    the square root of the exact sum is taken once, after an exact power-of-4
+    rescaling into float range.
+    """
+    squared = Fraction(0)
+    for a, c in coeffs.items():
+        v = sum(a)
+        mass = sum(math.comb(v, j) * sum(l**j for l in range(n1)) for j in range(v - n))
+        squared += Fraction(1 + v) ** s * Fraction(c) ** 2 * Fraction(mass, n1**v)
+    half = (squared.numerator.bit_length() - squared.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(squared / Fraction(4) ** half), half)
+
+
+def test_verify_bound_large_sobolev_index_stays_finite(tmp_path):
+    # (1 + |a|)^400 overflows a float at degree 5; the scaled class sum does not
+    out = tmp_path / "vb.csv"
+    argv = ["verify-bound", "--payoff", "digital:0", "--N0", "1", "--max-degree", "6",
+            "--sobolev-s-list", "0,400", "--out", str(out)]
+    with np.errstate(over="raise", invalid="raise"):
+        assert main(argv) == EXIT_OK
+    body = _rows(str(out))[1:]
+    assert len(body) == 3 * 7 * 2 * 3 and all(r[7] == "true" for r in body)
+    coeffs = coeffs_terminal(DigitalPayoff(0.0), GridSpec(1.0, 1), 6).coeffs
+    for _, n, n1, s, _, lhs, _, _, _ in body:
+        want = _exact_refined_norm(coeffs, int(n), int(n1), int(s))
+        assert math.isfinite(float(lhs)) and float(lhs) == pytest.approx(want, rel=1e-12)
+    assert max(float(r[5]) for r in body) > 1e150
+    # at s = 1000 the norm itself is not a float: a numerical failure
+    argv[argv.index("0,400")] = "1000"
+    assert main(argv) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["rate-sweep", "--payoff", "digital:0", "--N1-list", f"4,{2**40}"],
+     f"power sums over {2**40} fine slots need {3 * 8 * 2**40} bytes"),
+    (["simulate-hedge", "--payoff", "digital:0", "--N-list", f"4,{2**40}", "--samples", "1"],
+     f"block buffers of 1 paths on {2**40} slots need {2 * 8 * 2**40} bytes"),
+    (["simulate-hedge", "--payoff", "occupation", "--N-list", f"4,{2**40}"],
+     f"slot powers of degree 20 on {2**40} slots need {42 * 8 * 2**40} bytes"),
+])
+def test_slot_sized_arrays_refused_before_allocating(tmp_path, capsys, argv, what):
+    # each would hold terabytes; if the check were missing, the allocation
+    # would fail at once rather than fill memory
+    out = tmp_path / "big.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and what in err
+    assert not out.exists()
 
 
 def test_startup_imports_no_thread_pool_or_json():

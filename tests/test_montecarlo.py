@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -181,25 +182,44 @@ def _builder_expansions(payoff, grid, max_degree, n1, order, ell):
     return built
 
 
+def _canonical_on(key, n):
+    """Whether key is a canonical index on at most n slots.
+
+    A tuple of ``int`` entries (not ``bool`` or numpy integers), none
+    negative, the last one nonzero.
+    """
+    return (type(key) is tuple and len(key) <= n
+            and all(type(x) is int and x >= 0 for x in key)
+            and (not key or key[-1] != 0))
+
+
 @PROPERTY
 @given(_BUILDER_PAYOFFS, st.integers(1, 4), st.integers(0, 6), st.integers(1, 3),
        st.integers(1, 3), st.integers(0, 4))
 def test_builder_keys_pass_the_full_check(payoff, n, max_degree, n1, order, ell):
-    # builders skip _canonical_keys: their keys must pass it, and the
+    # builders skip the per-key check: every key must be canonical, and the
     # expansion must be what the checked path makes of the same dict
     grid = GridSpec(1.0, n)
     for f in _builder_expansions(payoff, grid, max_degree, n1, order, min(ell, n)):
-        assert chaos._canonical_keys(f.coeffs.keys(), f.grid.N)
+        assert all(_canonical_on(a, f.grid.N) for a in f.coeffs)
         assert type(f.coeffs) is dict
         checked = ChaosExpansion(f.grid, dict(f.coeffs))
         assert list(checked.coeffs.items()) == list(f.coeffs.items())
 
 
+def test_canonical_oracle_cases():
+    assert _canonical_on((), 1) and _canonical_on((0, 2), 2) and _canonical_on((3,), 1)
+    for key in [(1, 0), (0, 2, 1), (True,), (np.int64(1),), (1.0,), (1, -1), [1], "1"]:
+        assert not _canonical_on(key, 2), key
+
+
 def test_builders_skip_the_key_check(monkeypatch):
-    def refuse(keys, n):
+    def refuse(entries):
         raise AssertionError("builder-made keys were checked again")
 
-    monkeypatch.setattr(chaos, "_canonical_keys", refuse)
+    # the expansion's key check runs mi.canonical on every key; builders
+    # reach the rest of multiindex through the same name
+    monkeypatch.setattr(chaos, "mi", SimpleNamespace(**{**vars(mi), "canonical": refuse}))
     built = _builder_expansions(mc.DigitalPayoff(0.0), GridSpec(1.0, 3), 5, 2, 1, 2)
     assert all(f.coeffs for f in built[:4])
     # any other mapping still goes through the check
