@@ -240,7 +240,8 @@ def err_norm_refined(f: ChaosExpansion, n: int, n1: int, s: float) -> float:
     summand depends on a only through |a| and a_ell, so the sum runs over
     the expansion's degree classes against one tail-mass table, with the
     weights (1+|a|)^s scaled as :meth:`ChaosExpansion.sobolev_classes` gives
-    them, so that none overflows.
+    them, so that none overflows.  Where e^scale alone overflows, the norm is
+    taken in log space; if it is no float either, an OverflowError names s.
     """
     _check_orders(n, n1)
     degree, last, weight = f.degree_classes
@@ -249,7 +250,22 @@ def err_norm_refined(f: ChaosExpansion, n: int, n1: int, s: float) -> float:
     # classes are sorted by degree, and no last entry exceeds its degree
     table = _tail_mass_table(n, n1, _table_size(int(degree[-1])))
     scale, ratios, _ = f.sobolev_classes(s)
-    return math.exp(0.5 * scale) * math.sqrt(float(weight @ (ratios * table[last])))
+    mass = float(weight @ (ratios * table[last]))
+    try:
+        return math.exp(0.5 * scale) * math.sqrt(mass)
+    except OverflowError:
+        # e^scale alone is too large: the norm may still be a float
+        return _exp_half(scale + math.log(mass), "error norm", s) if mass else 0.0
+
+
+def _exp_half(log_sq: float, quantity: str, s: float) -> float:
+    """exp(log_sq / 2), or an OverflowError naming the quantity and its Sobolev index s."""
+    try:
+        return math.exp(0.5 * log_sq)
+    except OverflowError:
+        raise OverflowError(
+            f"the {quantity} overflows a float: Sobolev index s={s!r} is too large"
+        ) from None
 
 
 def error_norm_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> float:
@@ -274,7 +290,7 @@ def _bound(f: ChaosExpansion, n: int, s: float, r: float, log_den: float) -> flo
     if not f.coeffs:
         return 0.0
     scale, _, total = f.sobolev_classes(s + r * n)
-    return math.exp(0.5 * (scale + math.log(total) - r * log_den))
+    return _exp_half(scale + math.log(total) - r * log_den, "bound", s)
 
 
 @dataclass(frozen=True)
@@ -311,7 +327,8 @@ def verify_bounds(
     rhs = error_norm_bound(f, n, N1, s, r), whether lhs is within it
     (:func:`bound_holds`) and the slack rhs - lhs.  lhs is computed once per
     (n, N1, s) and log(n! N1^n) once per (n, N1).  Every n, N1 and r is
-    checked before the first row.
+    checked before the first row.  A norm or bound too large for a float
+    raises an OverflowError that names its row.
     """
     orders, n1_list, s_list, r_list = map(tuple, (orders, n1_list, s_list, r_list))
     for n, n1 in itertools.product(orders, n1_list):
@@ -325,9 +342,15 @@ def _bound_rows(f, orders, n1_list, s_list, r_list) -> Iterator[BoundRow]:
     for n, n1 in itertools.product(orders, n1_list):
         log_den = _log_denominator(n, n1)
         for s in s_list:
-            lhs = err_norm_refined(f, n, n1, s)
+            lhs = None
             for r in r_list:
-                rhs = _bound(f, n, s, r, log_den)
+                try:
+                    if lhs is None:
+                        lhs = err_norm_refined(f, n, n1, s)
+                    rhs = _bound(f, n, s, r, log_den)
+                except OverflowError as exc:
+                    row = f"({n}, {n1}, {s!r}, {r!r})"
+                    raise OverflowError(f"row (n, N1, s, r) = {row}: {exc}") from None
                 yield n, n1, s, r, lhs, rhs, bound_holds(lhs, rhs), rhs - lhs
 
 

@@ -25,6 +25,11 @@ from .clark_ocone import RateReport, err_tail, rate_report
 
 #: per-block sample count for counter-based generation
 SAMPLE_BLOCK = 4096
+#: block rows per tile of the copy into slot-major order: a tile of rows x N
+#: doubles stays in cache, where one strided copy of the block does not
+TRANSPOSE_ROWS = 64
+#: hedge slots evaluated per numpy call, into (HEDGE_CHUNK, rows) buffers
+HEDGE_CHUNK = 4
 #: default truncation degree for digital expansions; d_k decays like k^{-3/4}
 DIGITAL_DEFAULT_DEGREE = 20
 #: quadrature margin beyond polynomial exactness for smooth integrands
@@ -331,9 +336,12 @@ def _map_blocks(
     The batches share seed, sample count and workers, so block b of each is
     the same Philox stream cut to its own grid: it is sampled once, row-major
     at the largest N, and every batch reads its rows from a prefix of it.
-    That prefix is copied into a C-contiguous slot-major (N, rows) buffer
-    that fn receives; fn returns one value per path.  Each thread reuses one
-    pair of buffers, so memory does not grow with n_samples beyond the results.
+    That prefix is transposed, TRANSPOSE_ROWS rows at a time so that each
+    tile stays in cache, into a C-contiguous slot-major (N, rows) buffer that
+    fn receives; fn returns one value per path.  The buffer is the thread's
+    scratch, refilled for every call, so fn may overwrite it.  Each thread
+    reuses one pair of buffers, so memory does not grow with n_samples beyond
+    the results and what fn allocates per call.
     """
     first = batches[0]
     shared = (first.seed, first.n_samples, first.workers)
@@ -357,7 +365,10 @@ def _map_blocks(
             for batch, fn, out in zip(batches, fns, outs):
                 slots = batch.grid.N
                 xi = slot_buffer[: rows * slots].reshape(slots, rows)
-                np.copyto(xi, stream[: rows * slots].reshape(rows, slots).T)
+                paths = stream[: rows * slots].reshape(rows, slots)
+                for tile in range(0, rows, TRANSPOSE_ROWS):
+                    tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
+                    np.copyto(xi[:, tile_rows], paths[tile_rows].T)
                 out[lo:hi] = fn(xi)
 
     _run_lanes(lane, lanes)
@@ -412,16 +423,27 @@ def mc_err_norm(f: ChaosExpansion, n: int, batch: PathBatch) -> McEstimate:
 
 def _conditional_delta(
     payoff: TerminalPayoff,
-) -> Callable[[np.ndarray, float], np.ndarray]:
-    """(w, T - t) -> E[f'(W_T) | W_t = w], with f' and the rule built once.
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+    """(w, sqrt_var, out) -> out[j] = E[f'(W_T) | W_t = w[j]] with T - t = sqrt_var[j]^2.
 
-    Smooth payoffs are heat-kernel smoothed by quadrature in the residual
-    variable; the digital uses the exact Gaussian density formula.
+    w and out are (slots, paths) and sqrt_var is (slots, 1); f' and the rule
+    are built once.  Smooth payoffs are heat-kernel smoothed by quadrature in
+    the residual variable, one slot at a time; the digital evaluates the
+    exact Gaussian density formula on all slots at once, in place in out.
     """
     if isinstance(payoff, DigitalPayoff):
-        def delta(w: np.ndarray, residual_var: float) -> np.ndarray:
-            z = (payoff.strike - w) / math.sqrt(residual_var)
-            return hermite.normal_pdf(z) / math.sqrt(residual_var)
+        root_2pi = math.sqrt(2.0 * math.pi)
+
+        def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
+            # hermite.normal_pdf(z) / sqrt_var, operation for operation; the
+            # product with -0.5 is -(z**2) / 2 exactly, in every IEEE case
+            z = np.subtract(payoff.strike, w, out=out)
+            z /= sqrt_var
+            np.square(z, out=z)
+            z *= -0.5
+            np.exp(z, out=z)
+            z /= root_2pi
+            z /= sqrt_var
 
         return delta
     if isinstance(payoff, PolynomialPayoff):
@@ -431,9 +453,10 @@ def _conditional_delta(
         df = payoff.df
         rule = hermite.gauss_hermite_rule(24)
 
-    def delta(w: np.ndarray, residual_var: float) -> np.ndarray:
-        shifted = w[:, None] + math.sqrt(residual_var) * rule.nodes[None, :]
-        return np.asarray(df(shifted)) @ rule.weights
+    def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
+        for w_slot, root, out_slot in zip(w, sqrt_var[:, 0].tolist(), out):
+            shifted = w_slot[:, None] + root * rule.nodes[None, :]
+            np.matmul(np.asarray(df(shifted)), rule.weights, out=out_slot)
 
     return delta
 
@@ -463,7 +486,11 @@ def tracking_error_hedges(
     """:func:`tracking_error_hedge` on each batch's grid, from one sampling pass.
 
     The batches share seed, sample count and workers (see ``_map_blocks``);
-    each estimate is bit-equal to the one its batch gives on its own.
+    each estimate is bit-equal to the one its batch gives on its own.  The
+    kernel scales each slot-major block to dW in place, since the block is
+    its lane's private scratch, and evaluates HEDGE_CHUNK slots per numpy
+    call into one (2, HEDGE_CHUNK, rows) buffer per call.  Its operations and
+    their order are those of the slot-by-slot loop, so the residuals are too.
     """
     if isinstance(payoff, OccupationTimePayoff):
         raise TypeError("tracking-error hedging requires a terminal payoff")
@@ -474,18 +501,31 @@ def tracking_error_hedges(
         mean = float(hermite_expand_terminal(payoff, grid.T, 0)[0])
 
         def hedge(xi: np.ndarray) -> np.ndarray:
-            # one slot at a time, in the order np.cumsum adds: W_T first, for
-            # F, then W_{t_{l-1}} running alongside the hedge
-            w = sqrt_dt * xi[0]
-            for slot in range(1, grid.N):
-                w += sqrt_dt * xi[slot]
-            residual = _terminal_value(payoff, w) - mean
-            w = np.zeros(xi.shape[1])
-            for ell in range(1, grid.N + 1):
-                residual_var = grid.T - (ell - 1) * grid.dt
-                dw = sqrt_dt * xi[ell - 1]
-                residual -= delta(w, residual_var) * dw
-                w += dw
+            # xi is the lane's private scratch (see _map_blocks): it becomes dW
+            dw = np.multiply(xi, sqrt_dt, out=xi)
+            slots, rows = dw.shape
+            # sqrt(T - t_{ell-1}) for ell = 1..N, one row per slot
+            sqrt_var = np.sqrt(grid.T - np.arange(slots) * grid.dt)[:, None]
+            chunk = min(HEDGE_CHUNK, slots)
+            w, term = np.empty((2, chunk, rows))
+            # W_T for F, one slot at a time in the order np.cumsum adds
+            w_terminal = dw[0]
+            for slot in range(1, slots):
+                w_terminal = np.add(w_terminal, dw[slot], out=w[0])
+            residual = _terminal_value(payoff, w_terminal) - mean
+            # chunk by chunk, W_{t_{ell-1}} runs on in w, the hedge terms fill
+            # term, and they leave the residual slot by slot, as ell counts
+            w[0] = 0.0
+            for lo in range(0, slots, chunk):
+                count = min(chunk, slots - lo)
+                if lo:
+                    np.add(w[chunk - 1], dw[lo - 1], out=w[0])
+                for j in range(1, count):
+                    np.add(w[j - 1], dw[lo + j - 1], out=w[j])
+                delta(w[:count], sqrt_var[lo : lo + count], term[:count])
+                term[:count] *= dw[lo : lo + count]
+                for j in range(count):
+                    residual -= term[j]
             return residual
 
         return hedge

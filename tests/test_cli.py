@@ -450,6 +450,17 @@ def test_simulate_hedge_peak_memory(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_simulate_hedge_two_lanes_peak_memory(tmp_path):
+    # two lanes hold a block pair each and per-call buffers of a few slots:
+    # 69.7 MB measured, where one (N + 1) x 4096 table per call gives 85.7 MB
+    code, peak_mb = _child_peak_rss(
+        ["-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0", "--N-list", "256",
+         "--samples", "50000", "--workers", "2", "--out", str(tmp_path / "hedge.csv")])
+    assert code == EXIT_OK
+    assert peak_mb < 78.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_expand_peak_memory(tmp_path):
     # 125,970 indexes: the composition tables are built one degree at a time
     # and turned into tuples 4096 rows at a time
@@ -606,6 +617,35 @@ def test_verify_bound_large_sobolev_index_stays_finite(tmp_path):
     # at s = 1000 the norm itself is not a float: a numerical failure
     argv[argv.index("0,400")] = "1000"
     assert main(argv) == EXIT_NUMERICAL
+
+
+def test_sobolev_overflow_names_quantity_row_and_index(tmp_path, capsys):
+    # 6^(s/2) overflows a float from s = 792.3 on, but the error norm and
+    # its r = 0 bound at s = 793 are floats: both are taken in log space there
+    out, failed = tmp_path / "vb.csv", tmp_path / "failed.csv"
+    base = ["verify-bound", "--payoff", "digital:0", "--N0", "1", "--max-degree", "6"]
+    argv = base + ["--sobolev-s-list", "793", "--interp-r-list", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    coeffs = coeffs_terminal(DigitalPayoff(0.0), GridSpec(1.0, 1), 6).coeffs
+    body = _rows(str(out))[1:]
+    assert len(body) == 3 * 7
+    for _, n, n1, _, _, lhs, rhs, holds, _ in body:
+        want = _exact_refined_norm(coeffs, int(n), int(n1), 793)
+        assert float(lhs) == pytest.approx(want, rel=1e-12) and want > 1e300
+        assert holds == "true" and float(rhs) < math.inf
+    # beyond, the failure names the quantity, its row and s, and writes nothing
+    cases = [
+        (["--sobolev-s-list", "1000"], "(1, 4, 1000.0, 0.0): the error norm", "1000.0"),
+        (["--sobolev-s-list", "0,1e308"], "(1, 4, 1e+308, 0.0): the error norm", "1e+308"),
+        (["--sobolev-s-list", "794", "--interp-r-list", "0,1", "--order-n-list", "1",
+          "--N1-list", "1"], "(1, 1, 794.0, 1.0): the bound", "794.0"),
+    ]
+    for extra, row, s in cases:
+        assert main(base + extra + ["--out", str(failed)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"chaosco: numerical failure: row (n, N1, s, r) = {row} overflows a float: "
+            f"Sobolev index s={s} is too large\n")
+        assert not failed.exists()
 
 
 @pytest.mark.parametrize("argv, what", [

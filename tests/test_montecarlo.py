@@ -335,8 +335,28 @@ def test_sample_paths_deterministic():
         mc.sample_paths(grid, 0, seed=1)
 
 
+def _delta_reference(payoff, w, residual_var):
+    """E[f'(W_T) | W_t = w] at T - t = residual_var, one slot as a fresh array."""
+    if isinstance(payoff, mc.DigitalPayoff):
+        z = (payoff.strike - w) / math.sqrt(residual_var)
+        return hermite.normal_pdf(z) / math.sqrt(residual_var)
+    if isinstance(payoff, mc.PolynomialPayoff):
+        df = payoff.derivative()
+        rule = hermite.gauss_hermite_rule(df.degree // 2 + 1)
+    else:
+        df = payoff.df
+        rule = hermite.gauss_hermite_rule(24)
+    shifted = w[:, None] + math.sqrt(residual_var) * rule.nodes[None, :]
+    return np.asarray(df(shifted)) @ rule.weights
+
+
 def _hedge_materialized(payoff, grid, batch):
-    """Reference hedge: the column loop over the materialized (n_samples, N) array."""
+    """Reference hedge estimate: the L2 norm of :func:`_hedge_residual_materialized`."""
+    return mc._l2_of_samples(_hedge_residual_materialized(payoff, grid, batch))
+
+
+def _hedge_residual_materialized(payoff, grid, batch):
+    """Reference residuals: the column loop over the materialized (n_samples, N) array."""
     sqrt_dt = math.sqrt(grid.dt)
     xi = batch.increments
     w = sqrt_dt * xi[:, 0]
@@ -344,13 +364,12 @@ def _hedge_materialized(payoff, grid, batch):
         w += sqrt_dt * xi[:, col]
     mean = float(mc.hermite_expand_terminal(payoff, grid.T, 0)[0])
     residual = mc._terminal_value(payoff, w) - mean
-    delta = mc._conditional_delta(payoff)
     w = np.zeros(batch.n_samples)
     for ell in range(1, grid.N + 1):
         dw = sqrt_dt * xi[:, ell - 1]
-        residual -= delta(w, grid.T - (ell - 1) * grid.dt) * dw
+        residual -= _delta_reference(payoff, w, grid.T - (ell - 1) * grid.dt) * dw
         w += dw
-    return mc._l2_of_samples(residual)
+    return residual
 
 
 STREAMED_PAYOFFS = (
@@ -412,6 +431,58 @@ def test_tracking_error_hedges_share_one_stream(monkeypatch):
                     assert all("increments" not in vars(b) for b in batches)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_streamed_remainders_bit_equal(monkeypatch):
+    # every remainder of a slot chunk, a transpose tile and a sample block:
+    # each path's residual and each mc_err_norm value is the reference's, at
+    # every worker count; the estimators return their pathwise values here
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(mc, "_l2_of_samples", lambda values: values.copy())
+    chunk, tile = mc.HEDGE_CHUNK, mc.TRANSPOSE_ROWS
+    norm_grid = GridSpec(1.0, 5)
+    f = mc.coeffs_terminal(mc.DigitalPayoff(0.5), norm_grid, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n_samples in (1, tile - 1, tile + 1, 3 * mc.SAMPLE_BLOCK + 17):
+            assert n_samples % tile
+            for n in (1, 2, chunk + 1, 2 * chunk + 3):
+                grid = GridSpec(1.0, n)
+                serial = mc.sample_paths(grid, n_samples, seed=11)
+                expected = [_hedge_residual_materialized(p, grid, serial)
+                            for p in STREAMED_PAYOFFS]
+                for workers in (1, 2, 4):
+                    batch = mc.sample_paths(grid, n_samples, 11, workers)
+                    for payoff, want in zip(STREAMED_PAYOFFS, expected):
+                        got = mc.tracking_error_hedge(payoff, grid, batch)
+                        assert got.tobytes() == want.tobytes()
+            norms = mc.sample_paths(norm_grid, n_samples, seed=11)
+            want = _evaluate_reference(co.err_tail(f, 1), norms.increments)
+            for workers in (1, 2, 4):
+                batch = mc.sample_paths(norm_grid, n_samples, 11, workers)
+                assert mc.mc_err_norm(f, 1, batch).tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_digital_delta_in_place_bit_equal():
+    # the in-place kernel against hermite.normal_pdf(z) / sqrt(v), bit for bit:
+    # z = +-0, subnormal w and z, exp underflowing to subnormals and to 0
+    tiny = np.nextafter(0.0, 1.0)
+    w_row = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 0.3, -2.5, 1.5, -1.5,
+             37.7, -37.7, 40.0, -40.0, 1e3, -1e100]
+    variances = [1.0, 0.25, 3.0, 1e-40]
+    w = np.array([w_row] * len(variances))
+    sqrt_var = np.sqrt(np.array(variances))[:, None]
+    for strike in (0.0, -0.0, 0.5, -1.5, -1e-310, -37.7, 1.5):
+        out = np.empty_like(w)
+        mc._conditional_delta(mc.DigitalPayoff(strike))(w, sqrt_var, out)
+        for row, v in enumerate(variances):
+            z = (strike - w[row]) / math.sqrt(v)
+            want = hermite.normal_pdf(z) / math.sqrt(v)
+            assert out[row].tobytes() == want.tobytes()
+        assert (out == 0.0).any() and (out[(out > 0) & (out < 2.3e-308)]).size
 
 
 def test_tracking_error_hedges_reject_mismatched_batches():
