@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("horizon T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError("horizon T must be positive and finite")
         if self.N < 1:
             raise ValueError("partition count N must be >= 1")
 
@@ -121,21 +121,9 @@ class ChaosExpansion:
         return degree, last, weight
 
     @cached_property
-    def _results(self) -> Dict[Tuple, object]:
-        """What :meth:`remembered` has computed, by name and arguments."""
+    def _sobolev_classes(self) -> Dict[float, Tuple[float, np.ndarray, float]]:
+        """What :meth:`sobolev_classes` has computed, by s."""
         return {}
-
-    def remembered(self, name: str, args: Tuple, compute: Callable[[], object]):
-        """``compute()``, called once per (name, args) and kept with the expansion.
-
-        For values computed from the coefficients alone and the arguments.
-        """
-        key = (name, *args)
-        try:
-            return self._results[key]
-        except KeyError:
-            value = self._results[key] = compute()
-            return value
 
     def sobolev_classes(self, s: float) -> Tuple[float, np.ndarray, float]:
         """The Sobolev-s weights (1+|a|)^s of the degree classes, scaled to stay finite.
@@ -146,19 +134,18 @@ class ChaosExpansion:
         ||F||_{2,s}^2 = e^scale total.  No ratio overflows at any s; at s = 0
         every ratio is 1.0 and the scale is 0.0.  Remembered per s.
         """
-
-        def compute():
-            degree, _, weight = self.degree_classes
-            # classes are sorted by degree: the largest weight is at an end
-            top = int(degree[-1] if s > 0 else degree[0]) if degree.size else 0
-            scale = s * math.log1p(top)
-            if scale == math.inf:
-                raise OverflowError(f"log (1+|a|)^s overflows at s={s!r}")
-            ratios = ((1.0 + degree) / (1.0 + top)) ** s
-            ratios.flags.writeable = False
-            return scale, ratios, float(ratios @ weight)
-
-        return self.remembered("sobolev", (s,), compute)
+        if s in self._sobolev_classes:
+            return self._sobolev_classes[s]
+        degree, _, weight = self.degree_classes
+        # classes are sorted by degree: the largest weight is at an end
+        top = int(degree[-1] if s > 0 else degree[0]) if degree.size else 0
+        scale = s * math.log1p(top)
+        if scale == math.inf:
+            raise OverflowError(f"log (1+|a|)^s overflows at s={s!r}")
+        ratios = ((1.0 + degree) / (1.0 + top)) ** s
+        ratios.flags.writeable = False
+        classes = self._sobolev_classes[s] = scale, ratios, float(ratios @ weight)
+        return classes
 
 
 class _CanonicalCoeffs(dict):

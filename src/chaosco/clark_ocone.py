@@ -23,8 +23,8 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from . import multiindex as mi
-from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs
+from . import hermite, multiindex as mi
+from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, evaluate
 from .multiindex import MultiIndex
 
 
@@ -101,9 +101,6 @@ def reconstruct(d: ClarkOconeDecomposition) -> ChaosExpansion:
 
 def evaluate_decomposition(d: ClarkOconeDecomposition, xi) -> np.ndarray:
     """Pathwise sum mean + sum_terms integrand(xi) * H_m(xi_ell)."""
-    from . import hermite
-    from .chaos import evaluate
-
     xi = np.asarray(xi, dtype=float)
     # the slot axis is moved once; evaluate reads the moved-back view as is
     slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0))
@@ -128,8 +125,6 @@ def _check_orders(n: int, n1: int) -> None:
         raise ValueError("n and N1 must be >= 1")
 
 
-#: entries of the (n, N1, size) tail-mass and (N1, size) power-sum caches
-TABLE_CACHE_SIZE = 64
 #: shortest table; longer ones are the next power of two above the degree
 MIN_TABLE_SIZE = 64
 #: elements per block of the power-sum evaluation, bounding its memory
@@ -141,38 +136,27 @@ def _table_size(v: int) -> int:
     return max(MIN_TABLE_SIZE, 1 << v.bit_length())
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _scaled_power_sums(n1: int, size: int) -> np.ndarray:
-    """Q_j = sum_{l=1}^{N1} ((l-1)/(N1-1))^j for j < size, with 0^0 = 1.
+@lru_cache(maxsize=mi.TABLE_CACHE_SIZE)
+def _tail_mass_table(n: int, n1: int, size: int) -> np.ndarray:
+    """S(v, n, N1) for v < size as one read-only array (see :func:`tail_mass`).
 
-    Each Q_j lies in [1, N1], so no entry underflows; N1 = 1 gives Q = (1, 0, ...).
-    x, the range it comes from and one block of powers, about 3 N1 doubles,
-    are checked against physical memory before allocating.
+    Row v of the binomial law Bin(v, 1/N1) comes from row v-1 by Pascal's
+    rule, a convex combination, and S(v) is its dot product with the
+    reversed power sums Q_j = sum_{l=1}^{N1} ((l-1)/(N1-1))^j, with 0^0 = 1.
+    Every term is positive, so S keeps full relative precision however small
+    it is, and entry v does not depend on ``size``.  Each Q_j lies in
+    [1, N1], so none underflows; N1 = 1 gives Q = (1, 0, ...).  The powers
+    are summed POWER_BLOCK at a time; x, the range it comes from and one
+    block, about 3 N1 doubles, are checked against physical memory first.
     """
-    from .montecarlo import _check_fits  # montecarlo imports this module
-
-    _check_fits(3 * n1 * 8, f"power sums over {n1} fine slots")
+    mi._check_fits(3 * n1 * 8, f"power sums over {n1} fine slots")
     x = np.arange(n1) / max(n1 - 1, 1)
     j = np.arange(size, dtype=float)
     rows = max(1, POWER_BLOCK // n1)
     q = np.concatenate(
         [(x ** j[i : i + rows, None]).sum(axis=1) for i in range(0, size, rows)]
     )
-    q.flags.writeable = False
-    return q
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _tail_mass_table(n: int, n1: int, size: int) -> np.ndarray:
-    """S(v, n, N1) for v < size as one read-only array (see :func:`tail_mass`).
-
-    Row v of the binomial law Bin(v, 1/N1) comes from row v-1 by Pascal's
-    rule, a convex combination, and S(v) is its dot product with the
-    reversed power sums.  Every term is positive, so S keeps full relative
-    precision however small it is, and entry v does not depend on ``size``.
-    """
     p, stay = 1.0 / n1, (n1 - 1) / n1
-    q = _scaled_power_sums(n1, size)
     pmf = np.zeros(size)
     pmf[0] = 1.0
     table = np.zeros(size)

@@ -7,8 +7,9 @@ Parameter precedence is flag > environment (CHAOSCO_<NAME>) > config file
 temporary file and an atomic rename so partial outputs never appear.
 
 Exit codes: 0 success, 1 numerical failure (or failed bound rows), 2 invalid
-configuration, including an index set too large to build or Monte Carlo
-results too large for physical memory.
+configuration, including an index set too large to build or an array sized
+by the input, such as Monte Carlo results or a Gauss rule, too large for
+physical memory.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .clark_ocone import bound_holds, decompose, verify_bounds
 from .montecarlo import (
     DigitalPayoff,
     OccupationTimePayoff,
-    PathBatchTooLarge,
     PolynomialPayoff,
     coeffs_occupation_time,
     coeffs_terminal,
@@ -91,6 +91,11 @@ def _in_unit_interval(x: float) -> bool:
     return 0.0 <= x <= 1.0
 
 
+def _all_of(test):
+    """Requirement on a list option: nonempty, with ``test`` true of every entry."""
+    return lambda values: bool(values) and all(map(test, values))
+
+
 def _increasing_from_one(values: List[int]) -> bool:
     return bool(values) and values[0] >= 1 and all(b > a for a, b in zip(values, values[1:]))
 
@@ -109,11 +114,12 @@ _OPTIONS = {
     "order_n": (int, 1, lambda x: x >= 1, ">= 1"),
     "sobolev_s": (float, 0.0, math.isfinite, "finite"),
     "interp_r": (float, 1.0, _in_unit_interval, "in [0, 1]"),
-    "order_n_list": (_parse_int_list, [1, 2, 3], lambda v: all(n >= 1 for n in v), "all >= 1"),
-    "sobolev_s_list": (_parse_float_list, [-1.0, 0.0, 1.0], lambda v: all(map(math.isfinite, v)),
-                       "all finite"),
-    "interp_r_list": (_parse_float_list, [0.0, 0.5, 1.0], lambda v: all(map(_in_unit_interval, v)),
-                      "all in [0, 1]"),
+    "order_n_list": (_parse_int_list, [1, 2, 3], _all_of(lambda n: n >= 1),
+                     "nonempty and all >= 1"),
+    "sobolev_s_list": (_parse_float_list, [-1.0, 0.0, 1.0], _all_of(math.isfinite),
+                       "nonempty and all finite"),
+    "interp_r_list": (_parse_float_list, [0.0, 0.5, 1.0], _all_of(_in_unit_interval),
+                      "nonempty and all in [0, 1]"),
     "cases": (int, 100, lambda x: x >= 1, ">= 1"),
     "seed": (int, 20240824, lambda x: 0 <= x < 2**128, "a Philox key in [0, 2**128)"),
     "samples": (int, 100_000, lambda x: x >= 1, ">= 1"),
@@ -419,7 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](resolve_config(args.command, args))
-    except (ConfigError, mi.IndexSetTooLarge, PathBatchTooLarge) as exc:
+    except (ConfigError, mi.IndexSetTooLarge, mi.PathBatchTooLarge) as exc:
         print(f"chaosco: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ArithmeticError, ValueError, FloatingPointError) as exc:

@@ -13,18 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex, canonical
+from .multiindex import MultiIndex, _check_fits, canonical
 
 
 def eval_normalized(m: int, x):
-    """H_m at x (scalar or ndarray), orthonormal normalization."""
+    """H_m at x (scalar or ndarray), orthonormal normalization: row m of :func:`eval_all`."""
     if m < 0:
         raise ValueError("Hermite order must be non-negative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)
-    h = np.ones_like(x)
-    for k in range(m):
-        h, h_prev = (x * h - math.sqrt(k) * h_prev) / math.sqrt(k + 1), h
+    h = eval_all(m, x)[m]
     return h if h.ndim else float(h)
 
 
@@ -111,6 +107,8 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
         raise ValueError("quadrature order must be >= 1")
     if order == 1:
         return QuadratureRule(nodes=np.array([0.0]), weights=np.array([1.0]))
+    # the Jacobi matrix and its two diagonal parts
+    _check_fits(3 * order * order * 8, f"the Jacobi matrices of the order-{order} Gauss rule")
     off = np.sqrt(np.arange(1.0, order))
     eig = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     half = order // 2
@@ -138,15 +136,26 @@ def normal_sf(x) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def hermite_indicator_integral(m: int, threshold: float) -> float:
-    """Half-line integral of H_m against phi over [threshold, infinity).
+def indicator_integrals(max_order: int, threshold: float) -> np.ndarray:
+    """Half-line integrals of H_0..H_max_order against phi over [threshold, infinity).
 
-    For m >= 1 the closed form phi(K) H_{m-1}(K) / sqrt(m) applies; for m = 0
-    the integral is the normal survival function.  Discontinuous payoffs get
-    their chaos coefficients from here, never from quadrature across the jump.
+    For m >= 1 the closed form phi(K) H_{m-1}(K) / sqrt(m) applies, from one
+    :func:`eval_all` pass; it is 0 where phi(K) underflows, as it does at
+    K = +-inf, however large H_{m-1}(K) is.  For m = 0 the integral is the
+    normal survival function.  Discontinuous payoffs get their chaos
+    coefficients from here, never from quadrature across the jump.
     """
-    if m < 0:
+    if max_order < 0:
         raise ValueError("Hermite order must be non-negative")
-    if m == 0:
-        return normal_sf(threshold)
-    return float(normal_pdf(threshold)) * eval_normalized(m - 1, threshold) / math.sqrt(m)
+    out = np.zeros(max_order + 1)
+    out[0] = normal_sf(threshold)
+    pdf = float(normal_pdf(threshold))
+    if max_order >= 1 and pdf:
+        below = eval_all(max_order - 1, threshold)
+        out[1:] = pdf * below / np.sqrt(np.arange(1, max_order + 1))
+    return out
+
+
+def hermite_indicator_integral(m: int, threshold: float) -> float:
+    """Entry m of :func:`indicator_integrals`."""
+    return float(indicator_integrals(m, threshold)[m])

@@ -22,6 +22,7 @@ import numpy as np
 from . import clark_ocone, hermite, multiindex as mi
 from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, evaluate
 from .clark_ocone import RateReport, err_tail, rate_report
+from .multiindex import PathBatchTooLarge, _check_fits  # noqa: F401 (re-exported)
 
 #: per-block sample count for counter-based generation
 SAMPLE_BLOCK = 4096
@@ -30,8 +31,6 @@ SAMPLE_BLOCK = 4096
 TRANSPOSE_ROWS = 64
 #: hedge slots evaluated per numpy call, into (HEDGE_CHUNK, rows) buffers
 HEDGE_CHUNK = 4
-#: default truncation degree for digital expansions; d_k decays like k^{-3/4}
-DIGITAL_DEFAULT_DEGREE = 20
 #: quadrature margin beyond polynomial exactness for smooth integrands
 QUAD_EXTRA_ORDER = 8
 
@@ -63,12 +62,19 @@ class SmoothPayoff:
     df: Callable
     name: str = "smooth"
 
+    def __call__(self, x):
+        return np.asarray(self.f(x), dtype=float)
+
 
 @dataclass(frozen=True)
 class DigitalPayoff:
     """Indicator payoff 1_{[K, infinity)}(W_T)."""
 
     strike: float
+
+    def __post_init__(self):
+        if math.isnan(self.strike):
+            raise ValueError("digital strike must not be NaN")
 
     def __call__(self, x):
         return (np.asarray(x, dtype=float) >= self.strike).astype(float)
@@ -89,22 +95,14 @@ def hermite_expand_terminal(
     """One-step coefficients d_k = E[f(sqrt(T) Z) H_k(Z)], k = 0..max_degree.
 
     Digitals use the closed-form half-line integrals with threshold K/sqrt(T);
-    everything else goes through Gauss quadrature against the normal weight.
+    everything else goes through Gauss quadrature against the normal weight,
+    its (max_degree + 1) x order Hermite table checked against physical
+    memory before the rule is built.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if isinstance(f, DigitalPayoff):
-        # hermite_indicator_integral for every k from one recurrence pass
-        threshold = f.strike / math.sqrt(T)
-        d = np.empty(max_degree + 1)
-        d[0] = hermite.normal_sf(threshold)
-        if max_degree >= 1:
-            below = hermite.eval_all(max_degree - 1, threshold)
-            d[1:] = float(hermite.normal_pdf(threshold)) * below / np.sqrt(
-                np.arange(1, max_degree + 1)
-            )
-        return d
-    func = f.f if isinstance(f, SmoothPayoff) else f
+        return hermite.indicator_integrals(max_degree, f.strike / math.sqrt(T))
     if isinstance(f, PolynomialPayoff):
         if f.degree == 0:
             d = np.zeros(max_degree + 1)
@@ -113,8 +111,10 @@ def hermite_expand_terminal(
         order = (f.degree + max_degree) // 2 + 1
     else:
         order = max_degree + QUAD_EXTRA_ORDER
+    _check_fits((max_degree + 1) * order * 8,
+                f"Hermite values of degrees 0..{max_degree} at {order} quadrature nodes")
     rule = hermite.gauss_hermite_rule(order)
-    values = np.asarray(func(math.sqrt(T) * rule.nodes), dtype=float)
+    values = np.asarray(f(math.sqrt(T) * rule.nodes), dtype=float)
     table = hermite.eval_all(max_degree, rule.nodes)
     d = table @ (rule.weights * values)
     if not np.all(np.isfinite(d)):
@@ -128,8 +128,9 @@ def coeffs_terminal(
     """Grid expansion of f(W_T): exact refinement of the one-step coefficients.
 
     c_{a'} = d_{|a'|} sqrt(|a'|!/a'!) N^{-|a'|/2} over all indexes of degree
-    up to max_degree.
+    up to max_degree.  The index set is checked before anything is computed.
     """
+    mi.check_upto_size(grid.N, max_degree)
     d = hermite_expand_terminal(payoff, grid.T, max_degree)
     log_factorials = mi.log_factorial_table(max_degree)
     log_n = math.log(grid.N)
@@ -164,8 +165,10 @@ def coeffs_occupation_time(grid: GridSpec, max_degree: int) -> ChaosExpansion:
 
     Each time step contributes a digital at horizon t_i expanded on the first
     i slots; the coefficient at a' is (T/N) d_{|a'|} sqrt(|a'|!/a'!) times
-    sum over i >= last slot of a' of i^{-|a'|/2}.
+    sum over i >= last slot of a' of i^{-|a'|/2}.  The index set is checked
+    before anything is computed.
     """
+    mi.check_upto_size(grid.N, max_degree)
     d = hermite_expand_terminal(DigitalPayoff(0.0), 1.0, max_degree)
     tail_sums = _inverse_power_tail_sums(grid.N, max_degree)
     log_factorials = mi.log_factorial_table(max_degree)
@@ -225,22 +228,6 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Path sampling
-
-
-class PathBatchTooLarge(ValueError):
-    """An array sized by the input would exceed physical memory; raised before allocating.
-
-    Path batches and their results, block buffers, and the slot-sized tables
-    of occupation norms and tail masses are checked this way.
-    """
-
-
-def _check_fits(n_bytes: int, what: str) -> None:
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n_bytes > physical:
-        raise PathBatchTooLarge(
-            f"{what} need {n_bytes} bytes, more than the {physical} bytes of physical memory"
-        )
 
 
 @dataclass(frozen=True)
@@ -461,12 +448,6 @@ def _conditional_delta(
     return delta
 
 
-def _terminal_value(payoff: TerminalPayoff, w_terminal: np.ndarray) -> np.ndarray:
-    if isinstance(payoff, SmoothPayoff):
-        return np.asarray(payoff.f(w_terminal), dtype=float)
-    return np.asarray(payoff(w_terminal), dtype=float)
-
-
 def tracking_error_hedge(
     payoff: TerminalPayoff, grid: GridSpec, batch: PathBatch
 ) -> McEstimate:
@@ -512,7 +493,7 @@ def tracking_error_hedges(
             w_terminal = dw[0]
             for slot in range(1, slots):
                 w_terminal = np.add(w_terminal, dw[slot], out=w[0])
-            residual = _terminal_value(payoff, w_terminal) - mean
+            residual = payoff(w_terminal) - mean
             # chunk by chunk, W_{t_{ell-1}} runs on in w, the hedge terms fill
             # term, and they leave the residual slot by slot, as ell counts
             w[0] = 0.0

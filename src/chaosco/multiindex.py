@@ -16,6 +16,7 @@ checked before it is allocated.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -102,7 +103,8 @@ def matches(a_fine: MultiIndex, a_coarse: MultiIndex, n0: int, n1: int) -> bool:
 
 #: bytes of the largest index set held as a table; larger ones are refused
 MAX_TABLE_BYTES = 1 << 24
-#: composition tables kept; refine reads one per block entry value
+#: composition tables kept, and clark_ocone's tail-mass tables; refine reads
+#: one composition table per block entry value
 TABLE_CACHE_SIZE = 64
 #: table rows turned into tuples at a time
 ROW_CHUNK = 4096
@@ -118,6 +120,23 @@ def _check_size(rows: int, width: int, max_entry: int) -> None:
         raise IndexSetTooLarge(
             f"index set of {rows} indexes on {width} slots needs {size} bytes "
             f"as a table, above the limit of {MAX_TABLE_BYTES} bytes"
+        )
+
+
+class PathBatchTooLarge(ValueError):
+    """An array sized by the input would exceed physical memory; raised before allocating.
+
+    Path batches and their results, block buffers, the slot-sized tables of
+    occupation norms and tail masses, Gauss rules and the Hermite tables of
+    terminal expansions are checked this way.
+    """
+
+
+def _check_fits(n_bytes: int, what: str) -> None:
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_bytes > physical:
+        raise PathBatchTooLarge(
+            f"{what} need {n_bytes} bytes, more than the {physical} bytes of physical memory"
         )
 
 
@@ -236,6 +255,11 @@ def enumerate_matching(a_coarse: MultiIndex, n0: int, n1: int) -> Iterator[Multi
     yield from _canonical_rows(matching_table(a_coarse, n0, n1))
 
 
+def check_upto_size(dimension: int, max_degree: int) -> None:
+    """Refuse the index set of :func:`enumerate_upto` before anything is built for it."""
+    _check_size(math.comb(dimension + max_degree, max_degree), dimension, max_degree)
+
+
 def enumerate_upto(dimension: int, max_degree: int) -> Iterator[MultiIndex]:
     """All indexes with canonical length <= dimension and |a| <= max_degree.
 
@@ -243,9 +267,9 @@ def enumerate_upto(dimension: int, max_degree: int) -> Iterator[MultiIndex]:
     padded tuple, so the output is deterministic.  Degree m is the rows of
     composition_table(m, dimension), built when the stream reaches it; the
     C(dimension + max_degree, max_degree) rows are checked against
-    MAX_TABLE_BYTES before the first one.
+    MAX_TABLE_BYTES (:func:`check_upto_size`) before the first one.
     """
-    _check_size(math.comb(dimension + max_degree, max_degree), dimension, max_degree)
+    check_upto_size(dimension, max_degree)
     for deg in range(max_degree + 1):
         yield from _canonical_rows(composition_table(deg, dimension))
 

@@ -38,6 +38,12 @@ def test_gridspec_validation():
     assert GridSpec(2.0, 4).dt == 0.5
 
 
+def test_gridspec_rejects_non_finite_horizon():
+    for T in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GridSpec(T, 4)
+
+
 def test_expansion_canonicalizes_and_prunes():
     f = ChaosExpansion(GridSpec(1.0, 2), {(1, 0): 2.0, (0, 1): 1e-16})
     assert f.coeffs == {(1,): 2.0}
@@ -456,12 +462,9 @@ def test_csv_field_template_matches_csv_writer():
         assert chaos.csv_field_template(len(a)) % a + ",x\n" == buf.getvalue()
 
 
-def test_remembered_computes_once_per_name_and_args():
-    f = ChaosExpansion(GridSpec(1.0, 2), {(1,): 2.0})
-    calls = []
-    for args in [(1, 2), (1, 2), (2, 1)]:
-        got = f.remembered("probe", args, lambda: calls.append(args) or len(calls))
-    assert calls == [(1, 2), (2, 1)] and got == 2
-    assert f.remembered("probe", (1, 2), lambda: 0) == 1
-    # other names under the same arguments are kept apart
-    assert f.remembered("other", (1, 2), lambda: 7) == 7
+def test_sobolev_classes_remembered_per_s():
+    f = ChaosExpansion(GridSpec(1.0, 2), {(1,): 2.0, (0, 2): 1.0})
+    first = f.sobolev_classes(1.5)
+    assert f.sobolev_classes(1.5) is first
+    assert f.sobolev_classes(2.5) is not first and f.sobolev_classes(2.5)[0] != first[0]
+    assert f.sobolev_classes(1.5) is first

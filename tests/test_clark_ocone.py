@@ -174,8 +174,7 @@ def test_tail_mass_table_independent_of_length():
 
 def test_tail_mass_caches_are_bounded():
     assert co._tail_mass_value.cache_info().maxsize is not None
-    assert co._tail_mass_table.cache_info().maxsize == co.TABLE_CACHE_SIZE
-    assert co._scaled_power_sums.cache_info().maxsize == co.TABLE_CACHE_SIZE
+    assert co._tail_mass_table.cache_info().maxsize == mi.TABLE_CACHE_SIZE
 
 
 def test_tail_mass_bound_examples():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -360,9 +361,19 @@ def test_invalid_configuration_exit_codes(tmp_path):
         ["simulate-hedge", "--payoff", "poly:1", "--N-list", "0,4"],
         ["rate-sweep", "--payoff", "poly:1", "--N1-list", ""],
         ["verify-bound", "--payoff", "poly:1", "--interp-r-list", "2"],
+        ["verify-bound", "--payoff", "poly:1", "--order-n-list", ","],
+        ["verify-bound", "--payoff", "poly:1", "--sobolev-s-list", ","],
+        ["verify-bound", "--payoff", "poly:1", "--interp-r-list", ","],
         ["verify-bound", "--payoff", "random", "--cases", "1", "--seed", "-1"],
         ["simulate-hedge", "--payoff", "poly:1", "--samples", "10", "--seed", str(2**128)],
     ):
+        assert main(argv + ["--out", str(out)]) == EXIT_INVALID
+        assert not out.exists()
+    # an empty list from a config file
+    for name in ("order_n_list", "sobolev_s_list", "interp_r_list"):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({name: []}))
+        argv = ["verify-bound", "--payoff", "poly:1", "--config", str(config)]
         assert main(argv + ["--out", str(out)]) == EXIT_INVALID
         assert not out.exists()
 
@@ -380,6 +391,28 @@ def test_oversized_index_set_refused_before_allocating(tmp_path, capsys):
     code, peak_mb = _child_peak_rss(["-m", "chaosco.cli", *argv])
     assert code == EXIT_INVALID
     assert peak_mb < 64.0
+
+
+def test_oversized_one_step_tables_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "big.csv"
+    # 2*10^7 + 1 indexes on one int64 slot: refused before the one-step
+    # coefficients or the log-factorial table are computed
+    argv = ["expand", "--payoff", "digital:0", "--N0", "1", "--max-degree", str(2 * 10**7)]
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == EXIT_INVALID
+    assert time.perf_counter() - start < 1.0
+    assert f"{(2 * 10**7 + 1) * 8} bytes" in capsys.readouterr().err
+    # poly:0,0,1 at degree 10^6: a (10^6 + 1) x 500002 Hermite table, refused
+    # against a physical memory of 1 GiB before the Gauss rule is built
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    argv = ["rate-sweep", "--payoff", "poly:0,0,1", "--max-degree", str(10**6)]
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(out)]) == EXIT_INVALID
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and f"{(10**6 + 1) * 500002 * 8} bytes" in err
+    assert not out.exists()
 
 
 def test_oversized_hedge_refused_before_allocating(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from chaosco import hermite
+from chaosco import multiindex as mi
 
 
 def _logistic(z):
@@ -27,6 +29,29 @@ def test_eval_all_consistent():
     table = hermite.eval_all(8, xs)
     for m in range(9):
         assert np.allclose(table[m], hermite.eval_normalized(m, xs), atol=1e-13)
+
+
+def test_eval_normalized_is_row_of_eval_all():
+    xs = np.array([0.0, -0.0, 0.3, -1.7, 4.2, 11.0, -25.0, 1e-300])
+    for m in (0, 1, 2, 5, 40, 200):
+        assert hermite.eval_normalized(m, xs).tobytes() == hermite.eval_all(m, xs)[m].tobytes()
+        for x in (0.0, -0.0, 2.5, -7.25):
+            got = hermite.eval_normalized(m, x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == hermite.eval_all(m, x)[m].tobytes()
+    grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    assert hermite.eval_normalized(7, grid).tobytes() == hermite.eval_all(7, grid)[7].tobytes()
+    with pytest.raises(ValueError):
+        hermite.eval_normalized(-1, 0.5)
+
+
+def test_gauss_rule_refused_beyond_physical_memory(monkeypatch):
+    # 100 pages of 4096 bytes: three 130 x 130 matrices of doubles fit, 131 do not
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert hermite.gauss_hermite_rule(130).nodes.size == 130
+    with pytest.raises(mi.PathBatchTooLarge, match=f"order-131 .* {3 * 131 * 131 * 8} bytes"):
+        hermite.gauss_hermite_rule(131)
 
 
 def test_fourier_hermite_products():

@@ -36,6 +36,69 @@ def test_hermite_expand_terminal_polynomial():
     assert d4[2] == pytest.approx(4.0 * math.sqrt(2), abs=1e-12)
 
 
+def test_smooth_payoff_call():
+    payoff = mc.SmoothPayoff(np.sin, np.cos, "sin")
+    xs = np.linspace(-2.0, 2.0, 9)
+    assert payoff(xs).tobytes() == np.asarray(np.sin(xs), dtype=float).tobytes()
+    # an integer-valued f still gives floats
+    step = mc.SmoothPayoff(lambda x: np.asarray(x) > 0, np.zeros_like)
+    assert payoff(0.5) == math.sin(0.5) and step(xs).dtype == float
+
+
+def test_digital_payoff_rejects_nan_strike():
+    with pytest.raises(ValueError, match="NaN"):
+        mc.DigitalPayoff(math.nan)
+    # infinite strikes are the constant 0 and constant 1 payoffs
+    assert mc.hermite_expand_terminal(mc.DigitalPayoff(math.inf), 1.0, 3).tolist() == [0.0] * 4
+    assert mc.hermite_expand_terminal(mc.DigitalPayoff(-math.inf), 1.0, 3).tolist() == [
+        1.0, 0.0, 0.0, 0.0]
+    grid = GridSpec(1.0, 2)
+    assert mc.coeffs_terminal(mc.DigitalPayoff(math.inf), grid, 4).coeffs == {}
+    assert mc.coeffs_terminal(mc.DigitalPayoff(-math.inf), grid, 4).coeffs == {(): 1.0}
+    # phi(40) underflows to 0 while H_299(40) overflows: the product is 0, not NaN
+    assert not mc.hermite_expand_terminal(mc.DigitalPayoff(40.0), 1.0, 300)[1:].any()
+
+
+def test_indicator_integral_is_entry_of_digital_expansion():
+    for strike in (0.0, 0.5, -0.5, -1.0, 2.3):
+        for T in (0.25, 1.0, 3.0):
+            d = mc.hermite_expand_terminal(mc.DigitalPayoff(strike), T, 60)
+            threshold = strike / math.sqrt(T)
+            for m in range(61):
+                got = hermite.hermite_indicator_integral(m, threshold)
+                assert np.float64(got).tobytes() == d[m].tobytes()
+
+
+def test_oversized_expansions_refused_before_computing(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("one-step coefficients computed before the size check")
+
+    monkeypatch.setattr(mi, "MAX_TABLE_BYTES", 100)
+    monkeypatch.setattr(mc, "hermite_expand_terminal", unreachable)
+    # C(4 + 3, 3) = 35 indexes on 4 int8 slots: 140 bytes
+    with pytest.raises(mi.IndexSetTooLarge, match="35 indexes on 4 slots needs 140 bytes"):
+        mc.coeffs_terminal(mc.DigitalPayoff(0.0), GridSpec(1.0, 4), 3)
+    with pytest.raises(mi.IndexSetTooLarge, match="140 bytes"):
+        mc.coeffs_occupation_time(GridSpec(1.0, 4), 3)
+
+
+def test_hermite_table_refused_beyond_physical_memory(monkeypatch):
+    # 100 pages of 4096 bytes; poly:0,0,1 at degree d needs d // 2 + 2 nodes
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+    monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
+    square = mc.PolynomialPayoff((0.0, 0.0, 1.0))
+    assert mc.hermite_expand_terminal(square, 1.0, 200).shape == (201,)
+    needed = f"degrees 0..999999 .* {10**6 * (10**6 // 2 + 1) * 8} bytes"
+    tracemalloc.start()
+    try:
+        with pytest.raises(mc.PathBatchTooLarge, match=needed):
+            mc.hermite_expand_terminal(square, 1.0, 10**6 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_hermite_expand_terminal_digital():
     d = mc.hermite_expand_terminal(mc.DigitalPayoff(0.0), 1.0, 3)
     assert d[0] == pytest.approx(0.5)
@@ -363,7 +426,7 @@ def _hedge_residual_materialized(payoff, grid, batch):
     for col in range(1, grid.N):
         w += sqrt_dt * xi[:, col]
     mean = float(mc.hermite_expand_terminal(payoff, grid.T, 0)[0])
-    residual = mc._terminal_value(payoff, w) - mean
+    residual = payoff(w) - mean
     w = np.zeros(batch.n_samples)
     for ell in range(1, grid.N + 1):
         dw = sqrt_dt * xi[:, ell - 1]
