@@ -163,9 +163,34 @@ def constant(grid: GridSpec, value: float) -> ChaosExpansion:
 
 
 def sobolev_norm(f: ChaosExpansion, s: float) -> float:
-    """sqrt of sum over a of (1+|a|)^s c_a^2, from :meth:`ChaosExpansion.sobolev_classes`."""
+    """sqrt of sum over a of (1+|a|)^s c_a^2, from :meth:`ChaosExpansion.sobolev_classes`.
+
+    An OverflowError names s if the norm is too large for a float.
+    """
     scale, _, total = f.sobolev_classes(s)
-    return math.exp(0.5 * scale) * math.sqrt(total)
+    return _scaled_sqrt(scale, total, "Sobolev norm", s)
+
+
+def _scaled_sqrt(scale: float, mass: float, quantity: str, s: float) -> float:
+    """e^(scale/2) sqrt(mass), a Sobolev-s norm from its scaled class sum.
+
+    Where e^scale alone overflows, the norm is taken in log space; if it is
+    no float either, an OverflowError names the quantity and s.
+    """
+    try:
+        return math.exp(0.5 * scale) * math.sqrt(mass)
+    except OverflowError:
+        return _exp_half(scale + math.log(mass), quantity, s) if mass else 0.0
+
+
+def _exp_half(log_sq: float, quantity: str, s: float) -> float:
+    """exp(log_sq / 2), or an OverflowError naming the quantity and its Sobolev index s."""
+    try:
+        return math.exp(0.5 * log_sq)
+    except OverflowError:
+        raise OverflowError(
+            f"the {quantity} overflows a float: Sobolev index s={s!r} is too large"
+        ) from None
 
 
 def conditional_expectation(f: ChaosExpansion, ell: int) -> ChaosExpansion:
@@ -390,12 +415,8 @@ def write_expansion_csv(f: ChaosExpansion, stream, header_lines: Iterable[str] =
     format(c, ".17g")) rows in graded order, written in one piece: each row
     is one %-template, chosen by the key's length, applied to a + (c,).
     """
-    items = f.items()
-    keys = list(map(operator.itemgetter(0), items))
-    values = zip(map(operator.itemgetter(1), items))
-    lengths = list(map(len, keys))
-    templates = {k: csv_field_template(k) + ",%.17g\n" for k in set(lengths)}
-    rows = map(operator.mod, map(templates.__getitem__, lengths), map(tuple.__add__, keys, values))
+    templates = {k: csv_field_template(k) + ",%.17g\n" for k in set(map(len, f.coeffs))}
+    rows = [templates[len(a)] % (*a, c) for a, c in f.items()]
     head = [f"# {line}\n" for line in header_lines] + ["multiindex,coefficient\n"]
     stream.write("".join(itertools.chain(head, rows)))
 

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 import numpy as np
 
 from . import hermite, multiindex as mi
-from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, evaluate
+from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, _exp_half, _scaled_sqrt, evaluate
 from .multiindex import MultiIndex
 
 
@@ -125,15 +125,8 @@ def _check_orders(n: int, n1: int) -> None:
         raise ValueError("n and N1 must be >= 1")
 
 
-#: shortest table; longer ones are the next power of two above the degree
-MIN_TABLE_SIZE = 64
 #: elements per block of the power-sum evaluation, bounding its memory
 POWER_BLOCK = 1 << 16
-
-
-def _table_size(v: int) -> int:
-    """Length of the table holding entry v, shared by nearby degrees."""
-    return max(MIN_TABLE_SIZE, 1 << v.bit_length())
 
 
 @lru_cache(maxsize=mi.TABLE_CACHE_SIZE)
@@ -171,7 +164,7 @@ def _tail_mass_table(n: int, n1: int, size: int) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _tail_mass_value(v: int, n: int, n1: int) -> float:
-    return float(_tail_mass_table(n, n1, _table_size(v))[v])
+    return float(_tail_mass_table(n, n1, v + 1)[v])
 
 
 def tail_mass(a: MultiIndex, n: int, n1: int) -> float:
@@ -224,32 +217,17 @@ def err_norm_refined(f: ChaosExpansion, n: int, n1: int, s: float) -> float:
     summand depends on a only through |a| and a_ell, so the sum runs over
     the expansion's degree classes against one tail-mass table, with the
     weights (1+|a|)^s scaled as :meth:`ChaosExpansion.sobolev_classes` gives
-    them, so that none overflows.  Where e^scale alone overflows, the norm is
-    taken in log space; if it is no float either, an OverflowError names s.
+    them, so that none overflows; an OverflowError names s if the norm is
+    too large for a float.
     """
     _check_orders(n, n1)
     degree, last, weight = f.degree_classes
     if not last.size:
         return 0.0
     # classes are sorted by degree, and no last entry exceeds its degree
-    table = _tail_mass_table(n, n1, _table_size(int(degree[-1])))
+    table = _tail_mass_table(n, n1, int(degree[-1]) + 1)
     scale, ratios, _ = f.sobolev_classes(s)
-    mass = float(weight @ (ratios * table[last]))
-    try:
-        return math.exp(0.5 * scale) * math.sqrt(mass)
-    except OverflowError:
-        # e^scale alone is too large: the norm may still be a float
-        return _exp_half(scale + math.log(mass), "error norm", s) if mass else 0.0
-
-
-def _exp_half(log_sq: float, quantity: str, s: float) -> float:
-    """exp(log_sq / 2), or an OverflowError naming the quantity and its Sobolev index s."""
-    try:
-        return math.exp(0.5 * log_sq)
-    except OverflowError:
-        raise OverflowError(
-            f"the {quantity} overflows a float: Sobolev index s={s!r} is too large"
-        ) from None
+    return _scaled_sqrt(scale, float(weight @ (ratios * table[last])), "error norm", s)
 
 
 def error_norm_bound(f: ChaosExpansion, n: int, n1: int, s: float, r: float) -> float:
@@ -353,13 +331,13 @@ def malliavin_derivative_squared_integral(f: ChaosExpansion, order: int) -> floa
     if order < 1:
         raise ValueError("derivative order must be >= 1")
     grid = f.grid
-    total = 0.0
-    for i in range(grid.N):
-        slot_sum = 0.0
-        for a, c in f.coeffs.items():
-            ai = a[i] if i < len(a) else 0
+    slot_sums = [0.0] * grid.N
+    for a, c in f.coeffs.items():
+        for i, ai in enumerate(a):
             if ai >= order:
-                slot_sum += c * c * math.factorial(ai) / math.factorial(ai - order)
+                slot_sums[i] += c * c * math.factorial(ai) / math.factorial(ai - order)
+    total = 0.0
+    for slot_sum in slot_sums:  # plainly, in slot order: sum() compensates from Python 3.12
         total += slot_sum
     return total * (grid.N / grid.T) ** (order - 1)
 

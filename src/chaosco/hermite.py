@@ -126,9 +126,14 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def normal_pdf(x) -> float | np.ndarray:
-    """Standard normal density; an ndarray for array input."""
-    return np.exp(-np.asarray(x, dtype=float) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
+def normal_pdf(x, out: np.ndarray | None = None) -> float | np.ndarray:
+    """Standard normal density; an ndarray for array input, written into ``out`` if given.
+
+    ``out`` may be x itself.  Multiplying by -0.5 is -(x**2)/2 exactly, in
+    every IEEE case.
+    """
+    z = np.multiply(np.square(x, out=out, dtype=float), -0.5, out=out)
+    return np.divide(np.exp(z, out=out), math.sqrt(2.0 * math.pi), out=out)
 
 
 def normal_sf(x) -> float:

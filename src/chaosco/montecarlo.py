@@ -99,6 +99,8 @@ def hermite_expand_terminal(
     its (max_degree + 1) x order Hermite table checked against physical
     memory before the rule is built.
     """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("horizon T must be positive and finite")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if isinstance(f, DigitalPayoff):
@@ -236,9 +238,10 @@ class PathBatch:
 
     Only the grid, the sample count, the Philox seed and the thread count are
     stored.  The increments of block b are regenerated bit for bit from
-    (seed, b) whenever an estimator streams the batch (``_map_blocks``);
-    ``increments`` materializes the whole (n_samples, N) array on first
-    access and keeps it.
+    (seed, b) whenever an estimator streams the batch (``_map_blocks``, on
+    up to ``workers`` threads); ``increments`` materializes the whole
+    (n_samples, N) array on first access, block by block in one thread, and
+    keeps it.
     """
 
     grid: GridSpec
@@ -260,22 +263,20 @@ class PathBatch:
         _check_fits(self.n_samples * self.grid.N * 8,
                     f"increments of {self.n_samples} paths on {self.grid.N} slots")
         out = np.empty((self.n_samples, self.grid.N))
-
-        def fill(lane: int, lanes: int) -> None:
-            for b in range(lane, self.n_blocks, lanes):
-                lo, hi = _block_bounds(b, self.n_samples)
-                _sample_block(self.seed, b, out[lo:hi])
-
-        _run_lanes(fill, _pool_size(self.workers, self.n_blocks))
+        for b in range(self.n_blocks):
+            lo, hi = _block_bounds(b, self.n_samples)
+            _sample_block(self.seed, b, out[lo:hi])
         return out
 
     def brownian_paths(self) -> np.ndarray:
         """Cumulative W_{t_1}..W_{t_N} per sample, (n_samples, N).
 
-        Its size is checked before anything is allocated; the scaled
-        increments and their running sums share one array.
+        Its size, and that of the increments unless they are already held,
+        is checked before anything is allocated; the scaled increments and
+        their running sums share one array.
         """
-        _check_fits(self.n_samples * self.grid.N * 8,
+        arrays = 1 if "increments" in self.__dict__ else 2
+        _check_fits(arrays * self.n_samples * self.grid.N * 8,
                     f"Brownian paths of {self.n_samples} samples on {self.grid.N} slots")
         paths = np.multiply(math.sqrt(self.grid.dt), self.increments)
         return np.cumsum(paths, axis=1, out=paths)
@@ -292,27 +293,11 @@ def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
 
 
 def _pool_size(workers: int, n_blocks: int) -> int:
-    """Block threads for sampling, the hedge and evaluation.
+    """Block threads of the streamed estimators.
 
     Never more than requested, blocks, or CPUs.
     """
     return max(1, min(workers, n_blocks, os.cpu_count() or 1))
-
-
-def _run_lanes(lane: Callable[[int, int], None], lanes: int) -> None:
-    """lane(i, lanes) for i < lanes, each on its own thread when lanes > 1.
-
-    Lane i takes blocks i, i + lanes, ...; every block is keyed by its own
-    index, so results do not depend on the lane count.
-    """
-    if lanes > 1:
-        # imported here: most runs have one lane and never pay for it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            list(pool.map(lambda i: lane(i, lanes), range(lanes)))
-    else:
-        lane(0, 1)
 
 
 def _map_blocks(
@@ -328,7 +313,9 @@ def _map_blocks(
     fn receives; fn returns one value per path.  The buffer is the thread's
     scratch, refilled for every call, so fn may overwrite it.  Each thread
     reuses one pair of buffers, so memory does not grow with n_samples beyond
-    the results and what fn allocates per call.
+    the results and what fn allocates per call.  Thread i takes blocks i,
+    i + threads, ...; every block is keyed by its own index, so results do
+    not depend on the thread count.
     """
     first = batches[0]
     shared = (first.seed, first.n_samples, first.workers)
@@ -343,7 +330,7 @@ def _map_blocks(
                 f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {max_slots} slots")
     outs = [np.empty(n) for _ in batches]
 
-    def lane(first_block: int, lanes: int) -> None:
+    def lane(first_block: int) -> None:
         stream, slot_buffer = np.empty(size), np.empty(size)
         for b in range(first_block, n_blocks, lanes):
             lo, hi = _block_bounds(b, n)
@@ -358,7 +345,14 @@ def _map_blocks(
                     np.copyto(xi[:, tile_rows], paths[tile_rows].T)
                 out[lo:hi] = fn(xi)
 
-    _run_lanes(lane, lanes)
+    if lanes > 1:
+        # imported here: most runs have one thread and never pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            list(pool.map(lane, range(lanes)))
+    else:
+        lane(0)
     return outs
 
 
@@ -419,17 +413,10 @@ def _conditional_delta(
     exact Gaussian density formula on all slots at once, in place in out.
     """
     if isinstance(payoff, DigitalPayoff):
-        root_2pi = math.sqrt(2.0 * math.pi)
-
         def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
-            # hermite.normal_pdf(z) / sqrt_var, operation for operation; the
-            # product with -0.5 is -(z**2) / 2 exactly, in every IEEE case
             z = np.subtract(payoff.strike, w, out=out)
             z /= sqrt_var
-            np.square(z, out=z)
-            z *= -0.5
-            np.exp(z, out=z)
-            z /= root_2pi
+            hermite.normal_pdf(z, out=z)
             z /= sqrt_var
 
         return delta

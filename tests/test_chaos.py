@@ -129,6 +129,12 @@ def test_sobolev_norm_examples():
     assert chaos.sobolev_norm(f, 2.0) == pytest.approx(3.0)
     f2 = ChaosExpansion(g, {(1,): 3.0, (0, 1): 4.0})
     assert chaos.sobolev_norm(f2, 0.0) == pytest.approx(5.0)
+    # 7^(s/2) overflows a float at s = 740, the norm 7^370 * 1e-10 does not
+    f6 = ChaosExpansion(g, {(6,): 1e-10})
+    assert chaos.sobolev_norm(f6, 740.0) == pytest.approx(
+        math.exp(370 * math.log(7) - 10 * math.log(10)), rel=1e-12)
+    with pytest.raises(OverflowError, match=r"the Sobolev norm overflows .* s=1000\.0 "):
+        chaos.sobolev_norm(ChaosExpansion(g, {(6,): 1.0}), 1000.0)
 
 
 def test_degree_classes():

@@ -166,9 +166,10 @@ def test_tail_mass_small_tail_keeps_precision():
 
 def test_tail_mass_table_independent_of_length():
     for n, n1 in [(1, 2), (2, 3), (3, 64)]:
-        short = co._tail_mass_table(n, n1, 64)
         long = co._tail_mass_table(n, n1, 1024)
-        assert np.array_equal(short, long[:64])
+        # the exact lengths v + 1 that err_norm_refined and tail_mass ask for
+        for size in (64, *range(1, 20)):
+            assert np.array_equal(co._tail_mass_table(n, n1, size), long[:size])
         assert not long.flags.writeable
 
 
@@ -252,7 +253,7 @@ def test_sobolev_class_sum_matches_per_coefficient_sums(f, s, n, n1):
     # at s = 0 the norm is the unscaled dot product, bit for bit
     degree, last, weight = f.degree_classes
     if degree.size:
-        table = co._tail_mass_table(n, n1, co._table_size(int(degree[-1])))
+        table = co._tail_mass_table(n, n1, int(degree[-1]) + 1)
         assert co.err_norm_refined(f, n, n1, 0.0) == math.sqrt(weight @ table[last])
 
 
@@ -411,6 +412,35 @@ def test_derivative_squared_integral_multislot():
     g = GridSpec(2.0, 2)
     f = ChaosExpansion(g, {(1, 1): 1.0})
     assert co.malliavin_derivative_squared_integral(f, 1) == pytest.approx(2.0)
+
+
+def _slot_by_slot_integral(f, order):
+    """The derivative integral as N passes over all coefficients, one per slot."""
+    total = 0.0
+    for i in range(f.grid.N):
+        slot_sum = 0.0
+        for a, c in f.coeffs.items():
+            ai = a[i] if i < len(a) else 0
+            if ai >= order:
+                slot_sum += c * c * math.factorial(ai) / math.factorial(ai - order)
+        total += slot_sum
+    return total * (f.grid.N / f.grid.T) ** (order - 1)
+
+
+def test_derivative_squared_integral_matches_slot_by_slot_loop(monkeypatch):
+    rng = np.random.default_rng(41)
+    expansions = [
+        ChaosExpansion(GridSpec(1.7, n), {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(n, 5)})
+        for n in (1, 3, 5, 8)
+    ]
+    for f in expansions:
+        for order in (1, 2, 3):
+            got = co.malliavin_derivative_squared_integral(f, order)
+            assert got.hex() == _slot_by_slot_integral(f, order).hex()
+    bounds = [co.zeta_error_bound(f, n) for f in expansions for n in (1, 2)]
+    monkeypatch.setattr(co, "malliavin_derivative_squared_integral", _slot_by_slot_integral)
+    assert [b.hex() for b in bounds] == [
+        co.zeta_error_bound(f, n).hex() for f in expansions for n in (1, 2)]
 
 
 def test_fit_loglog_slope():

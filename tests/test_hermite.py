@@ -131,6 +131,21 @@ def test_orthonormality_via_quadrature():
     assert np.max(np.abs(gram - np.eye(11))) < 1e-12
 
 
+def test_normal_pdf_in_place_bit_equal():
+    # against the plain formula on finite inputs whose square does not
+    # overflow: +-0, subnormals, and tails underflowing to subnormals and to 0
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -2.5e-308, 0.3, -1.5, 37.7, -40.0, 1e150])
+    x = np.concatenate([x, np.linspace(0.5, 40.0, 1001), -np.linspace(0.5, 40.0, 77)])
+    want = np.exp(-x**2 / 2) / math.sqrt(2 * math.pi)
+    assert hermite.normal_pdf(x).tobytes() == want.tobytes()
+    assert [hermite.normal_pdf(v) for v in x.tolist()] == want.tolist()
+    z = x.copy()
+    assert hermite.normal_pdf(z, out=z) is z
+    assert z.tobytes() == want.tobytes()
+    assert 0.0 in want and ((want > 0) & (want < 2.3e-308)).any()
+
+
 def test_indicator_integral_examples():
     assert hermite.hermite_indicator_integral(0, 0.0) == pytest.approx(0.5)
     assert hermite.hermite_indicator_integral(1, 0.0) == pytest.approx(

@@ -99,6 +99,13 @@ def test_hermite_table_refused_beyond_physical_memory(monkeypatch):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_hermite_expand_terminal_rejects_bad_horizon(T):
+    for payoff in (mc.DigitalPayoff(1.0), mc.PolynomialPayoff((0.0, 0.0, 1.0))):
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            mc.hermite_expand_terminal(payoff, T, 3)
+
+
 def test_hermite_expand_terminal_digital():
     d = mc.hermite_expand_terminal(mc.DigitalPayoff(0.0), 1.0, 3)
     assert d[0] == pytest.approx(0.5)
@@ -709,3 +716,12 @@ def test_brownian_paths_checked_and_bit_equal(monkeypatch):
     pages["SC_PHYS_PAGES"] = 78
     with pytest.raises(mc.PathBatchTooLarge, match="Brownian paths .* 320000 bytes"):
         batch.brownian_paths()
+    # not yet held, the increments count too: two arrays of 1000 * 4 doubles
+    # against 12 pages, room for one of them, and then 16
+    fresh = mc.sample_paths(GridSpec(1.0, 4), 1000, 1)
+    pages["SC_PHYS_PAGES"] = 12
+    with pytest.raises(mc.PathBatchTooLarge, match="Brownian paths .* 64000 bytes"):
+        fresh.brownian_paths()
+    assert "increments" not in vars(fresh)
+    pages["SC_PHYS_PAGES"] = 16
+    assert fresh.brownian_paths().shape == (1000, 4)
