@@ -3,15 +3,12 @@
 A ChaosExpansion stores finitely many Fourier coefficients of a Wiener
 functional in the orthonormal Fourier-Hermite basis of standardized Brownian
 increments on a uniform grid.  The module provides Sobolev norms, conditional
-expectation projections, pathwise evaluation, the Hilbert-Schmidt pairings
-between two orthonormal systems (brute-force, combinatorial, and the
-coarse/fine closed form), and the exact coarse-to-fine refinement operator.
+expectation projections, pathwise evaluation, the exact coarse-to-fine
+refinement operator and the expansion CSV writer.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import operator
@@ -25,8 +22,6 @@ from . import hermite, multiindex as mi
 from .multiindex import MultiIndex
 
 COEFF_PRUNE = 1e-14
-#: brute-force permutation sums grow like (m!)^2; keep them desk-scale
-BRUTEFORCE_DEGREE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -158,10 +153,6 @@ class _CanonicalCoeffs(dict):
     """
 
 
-def constant(grid: GridSpec, value: float) -> ChaosExpansion:
-    return ChaosExpansion(grid, {(): value})
-
-
 def sobolev_norm(f: ChaosExpansion, s: float) -> float:
     """sqrt of sum over a of (1+|a|)^s c_a^2, from :meth:`ChaosExpansion.sobolev_classes`.
 
@@ -232,139 +223,6 @@ def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# Gram matrices and Hilbert-Schmidt pairings
-
-
-GramMatrix = np.ndarray  # g[i, j] = <h_i, h'_j> for two orthonormal systems
-
-
-def coarse_fine_gram(n0: int, n1: int) -> GramMatrix:
-    """Gram matrix between the N0-grid and the N0*N1-grid increment bases.
-
-    Entry (i, j) is 1/sqrt(N1) when fine slot j lies inside coarse slot i,
-    else 0.
-    """
-    g = np.zeros((n0, n0 * n1))
-    for i in range(n0):
-        g[i, i * n1 : (i + 1) * n1] = 1.0 / math.sqrt(n1)
-    return g
-
-
-def _position_labels(a: MultiIndex) -> Tuple[int, ...]:
-    """Slot label of each of the |a| degrees: a_i copies of i, in order."""
-    labels = []
-    for i, ai in enumerate(a):
-        labels.extend([i] * ai)
-    return tuple(labels)
-
-
-def hs_bruteforce(a: MultiIndex, a2: MultiIndex, gram: GramMatrix) -> float:
-    """Hilbert-Schmidt pairing by explicit double sum over permutation pairs.
-
-    Independent oracle for the combinatorial and closed-form routes; returns 0
-    on degree mismatch.  Degree is capped at BRUTEFORCE_DEGREE_CAP.
-    """
-    a, a2 = mi.canonical(a), mi.canonical(a2)
-    m = sum(a)
-    if m != sum(a2):
-        return 0.0
-    if m > BRUTEFORCE_DEGREE_CAP:
-        raise ValueError(f"brute-force pairing capped at degree {BRUTEFORCE_DEGREE_CAP}")
-    if m == 0:
-        return 1.0
-    labels = _position_labels(a)
-    labels2 = _position_labels(a2)
-    total = 0.0
-    for sigma in itertools.permutations(range(m)):
-        for sigma2 in itertools.permutations(range(m)):
-            prod = 1.0
-            for n in range(m):
-                prod *= gram[labels[sigma[n]], labels2[sigma2[n]]]
-                if prod == 0.0:
-                    break
-            total += prod
-    norm = math.sqrt(mi.factorial(a) * mi.factorial(a2)) * math.factorial(m)
-    return total / norm
-
-
-def _contingency_tables(row_sums, col_sums):
-    """Non-negative integer matrices with the given row and column sums.
-
-    Recursive row filling; partial column remainders prune dead branches.
-    """
-    rows = len(row_sums)
-
-    def fill(idx, remaining_cols):
-        if idx == rows:
-            if all(r == 0 for r in remaining_cols):
-                yield []
-            return
-        target = row_sums[idx]
-        # tail capacity per column limits how much later rows can still absorb
-        for row in _bounded_compositions(target, remaining_cols):
-            rest = tuple(rc - x for rc, x in zip(remaining_cols, row))
-            if sum(rest) == sum(row_sums[idx + 1 :]):
-                for tail in fill(idx + 1, rest):
-                    yield [row] + tail
-
-    yield from fill(0, tuple(col_sums))
-
-
-def _bounded_compositions(total, bounds):
-    """Compositions of ``total`` with per-part upper bounds."""
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    first_max = min(total, bounds[0])
-    for x in range(first_max + 1):
-        for rest in _bounded_compositions(total - x, bounds[1:]):
-            yield (x,) + rest
-
-
-def pairing_combinatorial(a: MultiIndex, a2: MultiIndex, gram: GramMatrix) -> float:
-    """Expectation of a product of two Fourier-Hermite polynomials.
-
-    Equals sqrt(a! a2!) times the sum over contingency tables k with row sums
-    a and column sums a2 of prod g_ij^{k_ij} / k_ij!; zero on degree mismatch.
-    """
-    a, a2 = mi.canonical(a), mi.canonical(a2)
-    if sum(a) != sum(a2):
-        return 0.0
-    if sum(a) == 0:
-        return 1.0
-    total = 0.0
-    for table in _contingency_tables(a, a2):
-        prod = 1.0
-        for i, row in enumerate(table):
-            for j, k in enumerate(row):
-                if k:
-                    prod *= gram[i, j] ** k / math.factorial(k)
-        total += prod
-    return math.sqrt(mi.factorial(a) * mi.factorial(a2)) * total
-
-
-def _sqrt_factorial_ratio(a: MultiIndex, a2: MultiIndex) -> float:
-    """sqrt(a!/a2!) in log space; stable for degrees up to ~50."""
-    return math.exp(0.5 * (mi.log_factorial(a) - mi.log_factorial(a2)))
-
-
-def coarse_fine_hs(a: MultiIndex, a2: MultiIndex, n0: int, n1: int) -> float:
-    """Closed-form pairing between coarse and fine increment bases.
-
-    sqrt(a!/a2!) N1^{-m/2} when the fine index matches the coarse one,
-    exactly 0 otherwise.
-    """
-    a, a2 = mi.canonical(a), mi.canonical(a2)
-    if sum(a) != sum(a2):
-        raise ValueError("coarse/fine pairing requires equal degrees")
-    if not mi.matches(a2, a, n0, n1):
-        return 0.0
-    m = sum(a)
-    return _sqrt_factorial_ratio(a, a2) * n1 ** (-m / 2.0)
-
-
 def refine(f: ChaosExpansion, n1: int) -> ChaosExpansion:
     """Re-express an N0-grid expansion in the N0*N1-grid basis.
 
@@ -399,9 +257,9 @@ def refine(f: ChaosExpansion, n1: int) -> ChaosExpansion:
 def csv_field_template(length: int) -> str:
     """%-template writing a canonical index of ``length`` entries as one CSV field.
 
-    Applied to the entries, it gives :func:`mi.format_canonical`'s text as
-    ``csv.writer`` writes it: "()" for the zero index, and quoted when it
-    holds a comma, that is from two entries on.
+    Applied to the entries, it gives the index's text, its entries joined by
+    commas and "()" for the zero index, as ``csv.writer`` writes it: quoted
+    when it holds a comma, that is from two entries on.
     """
     if length < 2:
         return ("()", "%d")[length]
@@ -411,23 +269,12 @@ def csv_field_template(length: int) -> str:
 def write_expansion_csv(f: ChaosExpansion, stream, header_lines: Iterable[str] = ()) -> None:
     """CSV with header "multiindex,coefficient"; 17 significant digits.
 
-    The bytes are those of ``csv.writer`` over (format_canonical(a),
-    format(c, ".17g")) rows in graded order, written in one piece: each row
-    is one %-template, chosen by the key's length, applied to a + (c,).
+    The bytes are those of ``csv.writer`` over (index text, format(c,
+    ".17g")) rows in graded order, the index text being its entries joined by
+    commas or "()" for the zero index, written in one piece: each row is one
+    %-template, chosen by the key's length, applied to a + (c,).
     """
     templates = {k: csv_field_template(k) + ",%.17g\n" for k in set(map(len, f.coeffs))}
     rows = [templates[len(a)] % (*a, c) for a, c in f.items()]
     head = [f"# {line}\n" for line in header_lines] + ["multiindex,coefficient\n"]
     stream.write("".join(itertools.chain(head, rows)))
-
-
-def read_expansion_csv(stream, grid: GridSpec) -> ChaosExpansion:
-    rows = [line for line in stream if not line.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(rows)))
-    header = next(reader)
-    if header != ["multiindex", "coefficient"]:
-        raise ValueError(f"unexpected expansion CSV header: {header}")
-    coeffs = {}
-    for key_text, value_text in reader:
-        coeffs[mi.parse_multiindex(key_text)] = float(value_text)
-    return ChaosExpansion(grid, coeffs)

@@ -164,7 +164,12 @@ def _tail_mass_table(n: int, n1: int, size: int) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _tail_mass_value(v: int, n: int, n1: int) -> float:
-    return float(_tail_mass_table(n, n1, v + 1)[v])
+    """Entry v of the (n, N1) table whose length is the power of two above v.
+
+    Entry v does not depend on the length, so a scan over v builds one table
+    per power of two instead of one per v.
+    """
+    return float(_tail_mass_table(n, n1, 1 << v.bit_length())[v])
 
 
 def tail_mass(a: MultiIndex, n: int, n1: int) -> float:
@@ -197,16 +202,6 @@ def tail_mass(a: MultiIndex, n: int, n1: int) -> float:
 def _log_denominator(n: int, n1: int) -> float:
     """log(n! N1^n), finite at every order."""
     return math.lgamma(n + 1) + n * math.log(n1)
-
-
-def tail_mass_bound(a: MultiIndex, n: int, n1: int, r: float) -> float:
-    """Interpolated upper bound (|a|^n / (n! N1^n))^r for the tail mass."""
-    a = mi.canonical(a)
-    if not a:
-        raise ValueError("tail mass bound of the zero index is undefined")
-    _check_interpolation(r)
-    _check_orders(n, n1)
-    return math.exp(r * (n * math.log(sum(a)) - _log_denominator(n, n1)))
 
 
 def err_norm_refined(f: ChaosExpansion, n: int, n1: int, s: float) -> float:

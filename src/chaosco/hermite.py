@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MultiIndex, _check_fits, canonical
+from .multiindex import _check_fits
 
 
 def eval_normalized(m: int, x):
@@ -36,31 +36,12 @@ def eval_all(max_order: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_fourier_hermite(a: MultiIndex, xi) -> float:
-    """Product over slots i of H_{a_i} at the i-th standardized increment."""
-    a = canonical(a)
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] < len(a):
-        raise ValueError(
-            f"need at least {len(a)} increments, got {xi.shape[-1]}"
-        )
-    out = np.ones(xi.shape[:-1])
-    for i, ai in enumerate(a):
-        if ai:
-            out = out * eval_normalized(ai, xi[..., i])
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss quadrature against the standard normal density."""
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        # exactly rounded sum: odd integrands cancel to 0 on the symmetric rule
-        return math.fsum(self.weights * np.asarray(f(self.nodes), dtype=float))
 
 
 #: per-node rescale threshold of the Christoffel recurrence; squares of

