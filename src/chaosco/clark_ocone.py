@@ -24,7 +24,8 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 import numpy as np
 
 from . import hermite, multiindex as mi
-from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, _exp_half, _scaled_sqrt, evaluate
+from .chaos import (ChaosExpansion, GridSpec, _CanonicalCoeffs, _evaluate_products, _exp_half,
+                    _scaled_sqrt)
 from .multiindex import MultiIndex
 
 
@@ -99,17 +100,51 @@ def reconstruct(d: ClarkOconeDecomposition) -> ChaosExpansion:
     return ChaosExpansion(d.grid, coeffs)
 
 
+#: paths per chunk of :func:`evaluate_decomposition`
+DECOMPOSITION_CHUNK = 4096
+
+
 def evaluate_decomposition(d: ClarkOconeDecomposition, xi) -> np.ndarray:
-    """Pathwise sum mean + sum_terms integrand(xi) * H_m(xi_ell)."""
+    """Pathwise sum mean + sum_terms integrand(xi) * H_m(xi_ell).
+
+    Paths are taken DECOMPOSITION_CHUNK at a time.  One slot-major Hermite
+    table per chunk, up to the largest order and slot of any term, gives
+    every integrand's factors and every H_m(xi_ell); each Hermite row depends
+    only on the rows below it, so the values are those of per-term tables.
+    The table, the chunk's buffers and the results are checked against
+    physical memory first, so memory grows with the batch only by its
+    results.
+    """
     xi = np.asarray(xi, dtype=float)
-    # the slot axis is moved once; evaluate reads the moved-back view as is
-    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0))
-    xi = np.moveaxis(slots, 0, -1)
-    out = np.full(xi.shape[:-1], d.mean)
-    for term in d.terms:
-        integrand = evaluate(term.integrand, xi)
-        out = out + integrand * hermite.eval_normalized(term.m, slots[term.ell - 1])
-    return out
+    n = d.grid.N
+    if xi.shape[-1] != n:
+        raise ValueError(f"expected {n} increments, got {xi.shape[-1]}")
+    shape = xi.shape[:-1]
+    paths = xi.reshape(-1, n)
+    total = len(paths)
+    reach = max((term.ell for term in d.terms), default=0)
+    degree = max((max(term.m, term.integrand.max_degree()) for term in d.terms), default=0)
+    plans = [term.integrand._product_plan(reach) for term in d.terms]
+    rows = min(total, DECOMPOSITION_CHUNK)
+    buffers = max((plan.buffers for plan in plans), default=0)
+    mi._check_fits(total * 8 + ((degree + 2) * reach + buffers + 1) * rows * 8,
+                   f"decomposition values of {total} paths and their {rows}-path chunk tables")
+    out = np.empty(total)
+    slot_buffer = np.empty(reach * rows)
+    for lo in range(0, total, DECOMPOSITION_CHUNK):
+        chunk = paths[lo : lo + DECOMPOSITION_CHUNK]
+        rows = len(chunk)
+        slots = slot_buffer[: reach * rows].reshape(reach, rows)
+        np.copyto(slots, chunk[:, :reach].T)
+        table = hermite.eval_all(degree, slots)  # (order, slot, path)
+        factors = list(table.reshape(-1, rows))
+        value = out[lo : lo + rows]
+        value.fill(d.mean)
+        for term, plan in zip(d.terms, plans):
+            term_value = _evaluate_products(plan, factors, (rows,))
+            term_value *= factors[term.m * reach + term.ell - 1]
+            value += term_value
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def err_tail(f: ChaosExpansion, n: int) -> ChaosExpansion:

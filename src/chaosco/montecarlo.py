@@ -4,8 +4,8 @@ Terminal payoffs f(W_T) get their one-step Hermite coefficients by quadrature
 (smooth f) or closed-form half-line integrals (digitals); the grid expansion
 is the exact refinement of the one-step one.  Path sampling uses the
 counter-based Philox generator in fixed-size blocks so results are bit-stable
-regardless of how blocks are distributed over workers; the estimators stream
-those blocks, slot-major, instead of holding every path.
+regardless of how many threads sample them; the estimators stream those
+blocks, slot-major, on the calling thread instead of holding every path.
 """
 
 from __future__ import annotations
@@ -238,10 +238,12 @@ class PathBatch:
 
     Only the grid, the sample count, the Philox seed and the thread count are
     stored.  The increments of block b are regenerated bit for bit from
-    (seed, b) whenever an estimator streams the batch (``_map_blocks``, on
-    up to ``workers`` threads); ``increments`` materializes the whole
-    (n_samples, N) array on first access, block by block in one thread, and
-    keeps it.
+    (seed, b) whenever an estimator streams the batch (``_map_blocks``): with
+    ``workers`` = k >= 2 threads, k - 1 sampler threads fill a ring of k
+    block buffers and the calling thread runs the estimator on one more, so
+    k + 1 block buffers are held whatever the sample count.
+    ``increments`` materializes the whole (n_samples, N) array on first
+    access, block by block in one thread, and keeps it.
     """
 
     grid: GridSpec
@@ -293,7 +295,7 @@ def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
 
 
 def _pool_size(workers: int, n_blocks: int) -> int:
-    """Block threads of the streamed estimators.
+    """Threads of the streamed estimators, the calling one included.
 
     Never more than requested, blocks, or CPUs.
     """
@@ -307,15 +309,22 @@ def _map_blocks(
 
     The batches share seed, sample count and workers, so block b of each is
     the same Philox stream cut to its own grid: it is sampled once, row-major
-    at the largest N, and every batch reads its rows from a prefix of it.
-    That prefix is transposed, TRANSPOSE_ROWS rows at a time so that each
-    tile stays in cache, into a C-contiguous slot-major (N, rows) buffer that
-    fn receives; fn returns one value per path.  The buffer is the thread's
-    scratch, refilled for every call, so fn may overwrite it.  Each thread
-    reuses one pair of buffers, so memory does not grow with n_samples beyond
-    the results and what fn allocates per call.  Thread i takes blocks i,
-    i + threads, ...; every block is keyed by its own index, so results do
-    not depend on the thread count.
+    at the largest N, into a stream buffer, and every batch reads its rows
+    from a prefix of it.  That prefix is transposed, TRANSPOSE_ROWS rows at a
+    time so that each tile stays in cache, into the one C-contiguous
+    slot-major (N, rows) buffer that fn receives; fn returns one value per
+    path.  The slot buffer is refilled for every call, so fn may overwrite
+    it.  Every fn runs on the calling thread, block after block.
+
+    With k = _pool_size(workers, n_blocks) >= 2, k - 1 sampler threads fill
+    a ring of k stream buffers, block b into buffer b mod k and sampler
+    b mod (k - 1), while the calling thread evaluates the blocks in order;
+    a buffer is refilled once its block has been evaluated.  With k = 1 the
+    calling thread samples too, into one stream buffer.  Either way k + 1
+    block buffers are held, so memory does not grow with n_samples beyond
+    the results and what fn allocates per call.  Every block is keyed by its
+    own index, so results do not depend on k.  An exception in a sampler or
+    in fn stops the samplers, and is raised here once they have ended.
     """
     first = batches[0]
     shared = (first.seed, first.n_samples, first.workers)
@@ -325,34 +334,83 @@ def _map_blocks(
     max_slots = max(b.grid.N for b in batches)
     _check_fits(len(batches) * n * 8, f"results of {n} paths on {len(batches)} grids")
     size = min(n, SAMPLE_BLOCK) * max_slots
-    lanes = _pool_size(first.workers, n_blocks)
-    _check_fits(2 * lanes * size * 8,
+    threads = _pool_size(first.workers, n_blocks)
+    _check_fits((threads + 1) * size * 8,
                 f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {max_slots} slots")
     outs = [np.empty(n) for _ in batches]
+    slot_buffer = np.empty(size)
 
-    def lane(first_block: int) -> None:
-        stream, slot_buffer = np.empty(size), np.empty(size)
-        for b in range(first_block, n_blocks, lanes):
-            lo, hi = _block_bounds(b, n)
-            rows = hi - lo
-            _sample_block(first.seed, b, stream[: rows * max_slots])
-            for batch, fn, out in zip(batches, fns, outs):
-                slots = batch.grid.N
-                xi = slot_buffer[: rows * slots].reshape(slots, rows)
-                paths = stream[: rows * slots].reshape(rows, slots)
-                for tile in range(0, rows, TRANSPOSE_ROWS):
-                    tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
-                    np.copyto(xi[:, tile_rows], paths[tile_rows].T)
-                out[lo:hi] = fn(xi)
+    def stream_rows(b: int, stream: np.ndarray) -> np.ndarray:
+        lo, hi = _block_bounds(b, n)
+        return stream[: (hi - lo) * max_slots]
 
-    if lanes > 1:
-        # imported here: most runs have one thread and never pay for it
-        from concurrent.futures import ThreadPoolExecutor
+    def evaluate_block(b: int, stream: np.ndarray) -> None:
+        lo, hi = _block_bounds(b, n)
+        rows = hi - lo
+        for batch, fn, out in zip(batches, fns, outs):
+            slots = batch.grid.N
+            xi = slot_buffer[: rows * slots].reshape(slots, rows)
+            paths = stream[: rows * slots].reshape(rows, slots)
+            for tile in range(0, rows, TRANSPOSE_ROWS):
+                tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
+                np.copyto(xi[:, tile_rows], paths[tile_rows].T)
+            out[lo:hi] = fn(xi)
 
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            list(pool.map(lane, range(lanes)))
-    else:
-        lane(0)
+    if threads == 1:
+        stream = np.empty(size)
+        for b in range(n_blocks):
+            _sample_block(first.seed, b, stream_rows(b, stream))
+            evaluate_block(b, stream)
+        return outs
+
+    # imported here: most runs have one thread and never pay for it
+    import threading
+
+    ring = [np.empty(size) for _ in range(threads)]
+    held = [-1] * threads  # the sampled, not yet evaluated block of each buffer
+    evaluated = 0  # blocks evaluated so far
+    stop = False
+    failures: List[BaseException] = []
+    changed = threading.Condition()
+
+    def sampler(first_block: int) -> None:
+        try:
+            for b in range(first_block, n_blocks, threads - 1):
+                with changed:
+                    # the buffer is free once block b - threads is evaluated
+                    changed.wait_for(lambda: stop or failures or evaluated > b - threads)
+                    if stop or failures:
+                        return
+                _sample_block(first.seed, b, stream_rows(b, ring[b % threads]))
+                with changed:
+                    held[b % threads] = b
+                    changed.notify_all()
+        except BaseException as exc:  # raised on the calling thread
+            with changed:
+                failures.append(exc)
+                changed.notify_all()
+
+    samplers = [threading.Thread(target=sampler, args=(i,), daemon=True)
+                for i in range(threads - 1)]
+    for thread in samplers:
+        thread.start()
+    try:
+        for b in range(n_blocks):
+            with changed:
+                changed.wait_for(lambda: failures or held[b % threads] == b)
+                if failures:
+                    raise failures[0]
+            evaluate_block(b, ring[b % threads])
+            with changed:
+                held[b % threads] = -1
+                evaluated = b + 1
+                changed.notify_all()
+    finally:
+        with changed:
+            stop = True
+            changed.notify_all()
+        for thread in samplers:
+            thread.join()
     return outs
 
 
@@ -411,6 +469,8 @@ def _conditional_delta(
     are built once.  Smooth payoffs are heat-kernel smoothed by quadrature in
     the residual variable, one slot at a time; the digital evaluates the
     exact Gaussian density formula on all slots at once, in place in out.
+    A polynomial of degree <= 2 has a one-node rule, ([0.0], [1.0]), and
+    its delta is f'(w) on all slots at once, in place in out.
     """
     if isinstance(payoff, DigitalPayoff):
         def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
@@ -423,6 +483,8 @@ def _conditional_delta(
     if isinstance(payoff, PolynomialPayoff):
         df = payoff.derivative()
         rule = hermite.gauss_hermite_rule(df.degree // 2 + 1)
+        if rule.nodes.size == 1:
+            return _linear_delta(np.asarray(df.coeffs, dtype=float))
     else:
         df = payoff.df
         rule = hermite.gauss_hermite_rule(24)
@@ -431,6 +493,30 @@ def _conditional_delta(
         for w_slot, root, out_slot in zip(w, sqrt_var[:, 0].tolist(), out):
             shifted = w_slot[:, None] + root * rule.nodes[None, :]
             np.matmul(np.asarray(df(shifted)), rule.weights, out=out_slot)
+
+    return delta
+
+
+def _linear_delta(coeffs: np.ndarray) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
+    """The one-node quadrature delta of f' = polyval(., coeffs), bit for bit.
+
+    The quadrature evaluates polyval at w + sqrt_var * 0.0 = w + 0.0 and
+    takes the (paths, 1) @ (1,) product with the weight 1.0, which is
+    0 + 1.0 * v.  Here polyval's Horner order runs over the whole
+    coefficient tuple, c0 = c[-1] + x*0 and then c0 = c[-i] + c0*x, at
+    x = w, and 0.0 is added at the end.  x = w and x = w + 0.0 differ only
+    at w = -0, where every partial value is finite and the two can differ
+    only in the sign of a zero, so the final + 0.0, like the product's
+    0 + v, gives the same bits.
+    """
+
+    def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(w, 0.0, out=out)
+        out += coeffs[-1]
+        for c in coeffs[-2::-1]:
+            out *= w
+            out += c
+        out += 0.0
 
     return delta
 
@@ -456,11 +542,12 @@ def tracking_error_hedges(
     The batches share seed, sample count and workers (see ``_map_blocks``);
     each estimate is bit-equal to the one its batch gives on its own.  The
     kernel scales each slot-major block to dW in place, since the block is
-    its lane's private scratch, and evaluates HEDGE_CHUNK slots per numpy
-    call into one (2, HEDGE_CHUNK, rows) buffer per call.  W_T is the end of
-    the running sum that gives each W_{t_{ell-1}}, and each dW slot holds its
-    hedge term once the sum has passed it.  Its operations and their order
-    are those of the slot-by-slot loop, so the residuals are too.
+    the slot buffer that ``_map_blocks`` refills for every call, and
+    evaluates HEDGE_CHUNK slots per numpy call into one (2, HEDGE_CHUNK,
+    rows) buffer per call.  W_T is the end of the running sum that gives
+    each W_{t_{ell-1}}, and each dW slot holds its hedge term once the sum
+    has passed it.  Its operations and their order are those of the
+    slot-by-slot loop, so the residuals are too.
     """
     if isinstance(payoff, OccupationTimePayoff):
         raise TypeError("tracking-error hedging requires a terminal payoff")
@@ -471,7 +558,7 @@ def tracking_error_hedges(
         mean = float(hermite_expand_terminal(payoff, grid.T, 0)[0])
 
         def hedge(xi: np.ndarray) -> np.ndarray:
-            # xi is the lane's private scratch (see _map_blocks): it becomes dW
+            # xi is _map_blocks's slot buffer, refilled for every call: it becomes dW
             dw = np.multiply(xi, sqrt_dt, out=xi)
             slots, rows = dw.shape
             # sqrt(T - t_{ell-1}) for ell = 1..N, one row per slot

@@ -10,6 +10,8 @@ they are independent routes to quantities chaosco computes another way:
   force over permutation pairs, by contingency tables, and in the
   coarse/fine closed form, with the coarse/fine Gram matrix;
 - Fourier-Hermite products at given increments, and Gauss-rule integration;
+- pathwise evaluation of an expansion and of its decomposition, one whole
+  batch per term;
 - the interpolated tail-mass bound, the constant expansion and the
   expansion CSV reader.
 """
@@ -26,7 +28,8 @@ import numpy as np
 
 from chaosco import hermite
 from chaosco.chaos import ChaosExpansion, GridSpec
-from chaosco.clark_ocone import _check_interpolation, _check_orders, _log_denominator
+from chaosco.clark_ocone import (ClarkOconeDecomposition, _check_interpolation, _check_orders,
+                                 _log_denominator)
 from chaosco.multiindex import MultiIndex, canonical, log_factorial
 
 #: brute-force permutation sums grow like (m!)^2; keep them desk-scale
@@ -261,6 +264,31 @@ def coarse_fine_hs(a: MultiIndex, a2: MultiIndex, n0: int, n1: int) -> float:
 
 def constant(grid: GridSpec, value: float) -> ChaosExpansion:
     return ChaosExpansion(grid, {(): value})
+
+
+def evaluate_reference(f: ChaosExpansion, xi) -> np.ndarray:
+    """Pathwise evaluation as a fresh sort, a table over every slot and np.full per term."""
+    xi = np.asarray(xi, dtype=float)
+    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0))
+    table = hermite.eval_all(f.max_degree(), slots)
+    out = np.zeros(xi.shape[:-1])
+    for a, c in sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        term = np.full(xi.shape[:-1], c)
+        for slot, order in enumerate(a):
+            if order:
+                term *= table[order, slot]
+        out += term
+    return out
+
+
+def evaluate_decomposition_reference(d: ClarkOconeDecomposition, xi) -> np.ndarray:
+    """mean + sum over terms of integrand(xi) * H_m(xi_ell), each term on the whole batch."""
+    xi = np.asarray(xi, dtype=float)
+    out = np.full(xi.shape[:-1], d.mean)
+    for term in d.terms:
+        basis = hermite.eval_normalized(term.m, xi[..., term.ell - 1])
+        out = out + evaluate_reference(term.integrand, xi) * basis
+    return out
 
 
 def read_expansion_csv(stream, grid: GridSpec) -> ChaosExpansion:

@@ -209,6 +209,39 @@ def test_evaluate_slot_major_bit_equal():
             assert np.array_equal(values, _evaluate_per_term(f, xi))
 
 
+#: increments with signed zeros and subnormals among ordinary values
+_INCREMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309]),
+    st.floats(-6.0, 6.0),
+)
+
+
+@st.composite
+def _shared_prefix_expansions(draw):
+    """Expansions whose coefficients come from a pool of at most three values.
+
+    Terms that repeat a coefficient share the product of it and their first
+    factors; the empty and the constant-only expansion are among them.
+    """
+    n = draw(st.integers(1, 4))
+    keys = list(mi.enumerate_upto(n, 4))
+    chosen = draw(st.one_of(st.just([]), st.just([()]),
+                            st.lists(st.sampled_from(keys), unique=True, max_size=40)))
+    pool = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-12),
+                         min_size=1, max_size=3))
+    return ChaosExpansion(GridSpec(1.0, n), {a: draw(st.sampled_from(pool)) for a in chosen})
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(f=_shared_prefix_expansions(), shape=st.sampled_from([(), (3,), (2, 3)]), data=st.data())
+def test_evaluate_bit_equal_to_reference(f, shape, data):
+    size = math.prod(shape) * f.grid.N
+    values = data.draw(st.lists(_INCREMENTS, min_size=size, max_size=size))
+    xi = np.array(values, dtype=float).reshape(shape + (f.grid.N,))
+    got = np.asarray(chaos.evaluate(f, xi))
+    assert got.tobytes() == oracles.evaluate_reference(f, xi).tobytes()
+
+
 def test_coefficient_recovery_by_quadrature():
     # E[F H_a] recovers c_a: tensor quadrature over a 2-slot grid
     g = GridSpec(1.0, 2)

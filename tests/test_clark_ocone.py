@@ -92,6 +92,39 @@ def test_decomposition_pathwise_matches_expansion():
     assert np.max(np.abs(direct - via_terms)) < 1e-12
 
 
+def test_evaluate_decomposition_chunks_bit_equal():
+    # chunk remainders, one path and a (j, k) batch: bit for bit the sum of
+    # whole-batch evaluations, one per term
+    assert co.DECOMPOSITION_CHUNK == 4096
+    rng = np.random.default_rng(23)
+    grid = GridSpec(1.0, 5)
+    f = ChaosExpansion(grid, {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(5, 4)
+                              if rng.random() < 0.5})
+    d = co.decompose(f)
+    assert len({term.ell for term in d.terms}) == 5
+    for rows in (1, 4095, 4097, 2 * 4096 + 17):
+        xi = rng.standard_normal((rows, 5))
+        got = co.evaluate_decomposition(d, xi)
+        assert got.tobytes() == oracles.evaluate_decomposition_reference(d, xi).tobytes()
+    # a slot-major view and a (j, k) batch
+    slots = rng.standard_normal((5, 4100))
+    want = oracles.evaluate_decomposition_reference(d, slots.T)
+    assert co.evaluate_decomposition(d, slots.T).tobytes() == want.tobytes()
+    xi = rng.standard_normal((3, 1500, 5))
+    got = co.evaluate_decomposition(d, xi)
+    assert got.shape == (3, 1500)
+    assert got.tobytes() == oracles.evaluate_decomposition_reference(d, xi).tobytes()
+    single = rng.standard_normal(5)
+    value = co.evaluate_decomposition(d, single)
+    assert isinstance(value, float)
+    want = oracles.evaluate_decomposition_reference(d, single)
+    assert np.float64(value).tobytes() == np.asarray(want).tobytes()
+    constant = co.decompose(oracles.constant(grid, 1.5))
+    assert np.array_equal(co.evaluate_decomposition(constant, xi), np.full((3, 1500), 1.5))
+    with pytest.raises(ValueError, match="expected 5 increments"):
+        co.evaluate_decomposition(d, xi[..., :4])
+
+
 def test_err_tail():
     fine = _refined_h2()
     tail = co.err_tail(fine, 1)

@@ -485,13 +485,43 @@ def test_simulate_hedge_peak_memory(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_simulate_hedge_two_lanes_peak_memory(tmp_path):
-    # two lanes hold a block pair each and per-call buffers of a few slots:
-    # 69.7 MB measured, where one (N + 1) x 4096 table per call gives 85.7 MB
+    # a sampler thread's ring of two stream buffers, the slot buffer and
+    # per-call buffers of a few slots, where one (N + 1) x 4096 table per
+    # call gives 85.7 MB
     code, peak_mb = _child_peak_rss(
         ["-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0", "--N-list", "256",
          "--samples", "50000", "--workers", "2", "--out", str(tmp_path / "hedge.csv")])
     assert code == EXIT_OK
     assert peak_mb < 78.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_simulate_hedge_sampler_pipeline_peak_memory(tmp_path):
+    # the benchmark's seven-grid hedge on two threads holds three 8 MB block
+    # buffers: 63.2 MB measured, where two lanes of two buffers took 71.9 MB
+    code, peak_mb = _child_peak_rss(
+        ["-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0",
+         "--N-list", "4,8,16,32,64,128,256", "--samples", "50000", "--workers", "2",
+         "--out", str(tmp_path / "hedge.csv")])
+    assert code == EXIT_OK
+    assert peak_mb < 67.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_decomposition_evaluation_peak_memory():
+    # 400,000 paths on 4 slots (12.8 MB of increments) evaluated 4096 at a
+    # time: 53 MB measured, where whole-batch tables per term took 134 MB
+    script = "\n".join([
+        "from chaosco import clark_ocone as co, montecarlo as mc",
+        "grid = mc.GridSpec(1.0, 4)",
+        "xi = mc.sample_paths(grid, 400_000, seed=3).increments",
+        "payoff = mc.PolynomialPayoff((1.0, 0.0, 0.0, 0.0, 0.25))",
+        "d = co.decompose(mc.coeffs_terminal(payoff, grid, payoff.degree))",
+        "assert co.evaluate_decomposition(d, xi).shape == (400_000,)",
+    ])
+    code, peak_mb = _child_peak_rss(["-c", script])
+    assert code == 0
+    assert peak_mb < 64.0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
@@ -701,8 +731,8 @@ def test_slot_sized_arrays_refused_before_allocating(tmp_path, capsys, argv, wha
 
 
 def test_startup_imports_no_thread_pool_or_json():
-    # concurrent.futures is imported for a multi-threaded run and json for a
-    # config file; importing the CLI pays for neither
+    # json is imported for a config file only, and no run needs a thread
+    # pool; importing the CLI pays for neither
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, chaosco.cli; "

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from chaosco import chaos, clark_ocone as co, hermite, montecarlo as mc
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
+
+import oracles
 
 #: small, deterministic property runs
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -394,6 +398,36 @@ def test_path_results_refused_beyond_physical_memory(monkeypatch):
     assert mc.sample_paths(grid, 12_800, 1).increments.shape == (12_800, 4)
 
 
+def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
+    # the workers + 1 block buffers, a Hermite table with the product plan's
+    # memo buffers, and a decomposition's chunk table are each counted
+    # before anything is allocated; physical memory is counted in bytes here
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    pages = {"SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
+
+    def refused_at(need, run):
+        pages["SC_PHYS_PAGES"] = need - 1
+        with pytest.raises(mc.PathBatchTooLarge, match=f" {need} bytes"):
+            run()
+        pages["SC_PHYS_PAGES"] = need
+        return run()
+
+    grid = GridSpec(1.0, 4)
+    batch = mc.sample_paths(grid, 3 * mc.SAMPLE_BLOCK, seed=1, workers=3)
+    blocks = (3 + 1) * mc.SAMPLE_BLOCK * 4 * 8
+    assert refused_at(blocks, lambda: mc.occupation_value(batch)).shape == (3 * mc.SAMPLE_BLOCK,)
+    f = mc.coeffs_terminal(mc.PolynomialPayoff((0.0, 1.0, 0.0, 1.0)), GridSpec(1.0, 3), 3)
+    xi = np.zeros((1000, 3))
+    table = (f.max_degree() + 2) * 3 * 1000 * 8
+    need = table + (f._product_plan(3).buffers + 1) * 1000 * 8
+    assert refused_at(need, lambda: chaos.evaluate(f, xi)).shape == (1000,)
+    d = co.decompose(f)
+    plans = [term.integrand._product_plan(3) for term in d.terms]
+    need = 1000 * 8 + table + (max(p.buffers for p in plans) + 1) * 1000 * 8
+    assert refused_at(need, lambda: co.evaluate_decomposition(d, xi)).shape == (1000,)
+
+
 def test_sample_paths_deterministic():
     grid = GridSpec(1.0, 4)
     a = mc.sample_paths(grid, 10_000, seed=1)
@@ -528,7 +562,7 @@ def test_streamed_remainders_bit_equal(monkeypatch):
                         got = mc.tracking_error_hedge(payoff, grid, batch)
                         assert got.tobytes() == want.tobytes()
             norms = mc.sample_paths(norm_grid, n_samples, seed=11)
-            want = _evaluate_reference(co.err_tail(f, 1), norms.increments)
+            want = oracles.evaluate_reference(co.err_tail(f, 1), norms.increments)
             for workers in (1, 2, 4):
                 batch = mc.sample_paths(norm_grid, n_samples, 11, workers)
                 assert mc.mc_err_norm(f, 1, batch).tobytes() == want.tobytes()
@@ -555,6 +589,104 @@ def test_digital_delta_in_place_bit_equal():
         assert (out == 0.0).any() and (out[(out > 0) & (out < 2.3e-308)]).size
 
 
+def test_one_node_delta_bit_equal():
+    # polynomials of degree <= 2 take f'(w) in place, bit for bit the
+    # one-node quadrature, including the +0 its (paths, 1) @ (1,) product
+    # makes of a -0 that polyval gives (f' = -0 - 2x at x = 0)
+    tiny = np.nextafter(0.0, 1.0)
+    w_row = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 0.3, -2.5, 1.5, 1e100, -1e100]
+    variances = [1.0, 0.25, 3.0]
+    w = np.array([w_row] * len(variances))
+    sqrt_var = np.sqrt(np.array(variances))[:, None]
+    negative_zero = False
+    for coeffs in ((3.0,), (0.0, 2.5), (1.0, -0.0, -1.0), (0.0, 0.0, 1.0, 0.0, 0.0),
+                   (-0.0, 1.0, 0.5), (1e-300, -2.0, 3.0), (0.0, 0.0, 0.0)):
+        payoff = mc.PolynomialPayoff(coeffs)
+        assert hermite.gauss_hermite_rule(payoff.derivative().degree // 2 + 1).nodes.size == 1
+        out = np.empty_like(w)
+        mc._conditional_delta(payoff)(w, sqrt_var, out)
+        for row, v in enumerate(variances):
+            want = _delta_reference(payoff, w[row], v)
+            assert out[row].tobytes() == want.tobytes()
+        df = payoff.derivative()
+        negative_zero |= bool(np.signbit(df(w + 0.0)[out == 0.0]).any())
+    assert negative_zero
+
+
+def _within(seconds, call):
+    """call() on a helper thread, its exception re-raised; fails if not done in time."""
+    done = []
+
+    def run():
+        try:
+            done.append((call(), None))
+        except Exception as exc:  # re-raised below, on the test's thread
+            done.append((None, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive() and done
+    (value, error), = done
+    if error is not None:
+        raise error
+    return value
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_map_blocks_failure_ends_every_thread(monkeypatch, workers):
+    # an exception in a sampler or in fn ends the pipeline with that
+    # exception, promptly, with no sampler left running or waiting on the ring
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    batch = mc.sample_paths(GridSpec(1.0, 3), 10 * mc.SAMPLE_BLOCK, seed=1, workers=workers)
+    sample_block = mc._sample_block
+
+    def failing_sampler(at):
+        def sampler(seed, block, rows):
+            if block == at:
+                raise LookupError("sampler failed")
+            sample_block(seed, block, rows)
+
+        return sampler
+
+    calls = []
+
+    def failing_fn(xi):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ArithmeticError("estimator failed")
+        return xi[0].copy()
+
+    before = set(threading.enumerate())
+    # block 0 fails while the calling thread waits for it, block 5 mid-stream
+    for sampler, fn, error in ((failing_sampler(0), lambda xi: xi[0].copy(), LookupError),
+                               (failing_sampler(5), lambda xi: xi[0].copy(), LookupError),
+                               (sample_block, failing_fn, ArithmeticError)):
+        monkeypatch.setattr(mc, "_sample_block", sampler)
+        with pytest.raises(error, match="failed"):
+            _within(10.0, lambda: mc._map_blocks([batch], [fn]))
+        assert set(threading.enumerate()) == before
+    assert len(calls) == 3
+    # and with nothing failing, every sampler has ended on return
+    monkeypatch.setattr(mc, "_sample_block", sample_block)
+    first_slot, = _within(10.0, lambda: mc._map_blocks([batch], [lambda xi: xi[0].copy()]))
+    assert np.array_equal(first_slot, batch.increments[:, 0])
+    assert set(threading.enumerate()) == before
+
+
+def test_product_plan_shares_prefixes():
+    # mc-norms' error tail: 8,517 terms whose 34,816 left-to-right
+    # multiplies share their prefixes down to 15,387, the plan built once
+    grid = GridSpec(1.0, 8)
+    tail = co.err_tail(mc.coeffs_terminal(mc.DigitalPayoff(0.0), grid, 10), 1)
+    plan = tail._product_plan(8)
+    assert plan is tail._product_plan(8)
+    assert len(plan.terms) == len(tail.coeffs) == 8517
+    assert sum(sum(map(bool, a)) for a in tail.coeffs) == 34816
+    assert sum(len(steps) for _, _, steps in plan.terms) == 15387
+    assert plan.buffers <= 49
+
+
 def test_tracking_error_hedges_reject_mismatched_batches():
     grid, fine = GridSpec(1.0, 2), GridSpec(1.0, 4)
     payoff = mc.DigitalPayoff(0.0)
@@ -566,35 +698,18 @@ def test_tracking_error_hedges_reject_mismatched_batches():
             mc.tracking_error_hedges(payoff, [base, other])
 
 
-def _evaluate_reference(f, xi):
-    """Pathwise evaluation as a fresh sort, a table over every slot and np.full per term."""
-    xi = np.asarray(xi, dtype=float)
-    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0))
-    table = hermite.eval_all(f.max_degree(), slots)
-    out = np.zeros(xi.shape[:-1])
-    for a, c in sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        term = np.full(xi.shape[:-1], c)
-        for slot, order in enumerate(a):
-            if order:
-                term *= table[order, slot]
-        out += term
-    return out
-
-
 def test_streamed_evaluation_matches_reference_loop():
     grid = GridSpec(1.0, 5)
     batch = mc.sample_paths(grid, mc.SAMPLE_BLOCK + 9, seed=4)
     f = mc.coeffs_terminal(mc.DigitalPayoff(0.5), grid, 6)
     for n in (1, 2):
-        expected = mc._l2_of_samples(_evaluate_reference(co.err_tail(f, n), batch.increments))
+        tail = co.err_tail(f, n)
+        expected = mc._l2_of_samples(oracles.evaluate_reference(tail, batch.increments))
         assert mc.mc_err_norm(f, n, batch) == expected
     # the term integrands live on the first ell - 1 of the five slots
     for payoff in (mc.PolynomialPayoff((1.0, 0.0, 0.0, -2.0)), mc.DigitalPayoff(0.0)):
         d = co.decompose(mc.coeffs_terminal(payoff, grid, 4))
-        expected = np.full(batch.n_samples, d.mean)
-        for term in d.terms:
-            basis = hermite.eval_normalized(term.m, batch.increments[:, term.ell - 1])
-            expected = expected + _evaluate_reference(term.integrand, batch.increments) * basis
+        expected = oracles.evaluate_decomposition_reference(d, batch.increments)
         assert np.array_equal(co.evaluate_decomposition(d, batch.increments), expected)
 
 
