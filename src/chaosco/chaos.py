@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -95,22 +95,6 @@ class ChaosExpansion:
 
     def max_degree(self) -> int:
         return max((sum(a) for a in self.coeffs), default=0)
-
-    @cached_property
-    def _product_plans(self) -> Dict[int, "_ProductPlan"]:
-        """What :meth:`_product_plan` has built, by table width."""
-        return {}
-
-    def _product_plan(self, width: int) -> "_ProductPlan":
-        """How :func:`evaluate` multiplies out the terms against a table ``width`` slots wide.
-
-        Built once per width by :func:`_build_product_plan` and kept with
-        the expansion.
-        """
-        plan = self._product_plans.get(width)
-        if plan is None:
-            plan = self._product_plans[width] = _build_product_plan(self.items(), width)
-        return plan
 
     @cached_property
     def degree_classes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,8 +196,7 @@ def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     """Pathwise value at standardized increments xi (last axis has N entries).
 
     A slot-major xi, such as ``np.moveaxis(slots, 0, -1)`` of a C-contiguous
-    (N, ...) array, is read without a copy.  The Hermite table and the
-    product buffers are checked against physical memory first.
+    (N, ...) array, is read without a copy.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != f.grid.N:
@@ -224,96 +207,28 @@ def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     # contiguous run
     degree = sum(terms[-1][0]) if terms else 0
     reach = max(map(len, f.coeffs), default=0)
-    shape = xi.shape[:-1]
-    plan = f._product_plan(reach)
-    paths = math.prod(shape)
-    mi._check_fits(((degree + 2) * reach + plan.buffers + 1) * paths * 8,
-                   f"Hermite table and product buffers of {paths} paths")
     slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0)[:reach])
     table = hermite.eval_all(degree, slots)  # (order, slot, ...)
-    out = _evaluate_products(plan, list(table.reshape(-1, *shape)), shape)
+    out = _evaluate_table(terms, table)
     return float(out) if out.ndim == 0 else out
 
 
-class _ProductPlan(NamedTuple):
-    """The products of :func:`_evaluate_products`, in graded term order.
+def _evaluate_table(terms, table: np.ndarray) -> np.ndarray:
+    """Sum of c * H_{a_1} * H_{a_2} * ... over the (a, c) terms, in their order.
 
-    Each term is (c, source, steps): the term's value starts from its
-    coefficient c (source -1) or from buffer ``source``, which holds a
-    product of c and the term's first factors, and each step
-    (factor, buffer) multiplies it by ``factors[factor]`` into that buffer.
-    Buffer 0 is the scratch; ``buffers`` counts it and the memo buffers.
+    table is an (order, slot, ...) Hermite table that covers every order
+    and slot of the terms; each product is formed left to right from c.
     """
-
-    terms: Tuple[Tuple[float, int, Tuple[Tuple[int, int], ...]], ...]
-    buffers: int
-
-
-def _build_product_plan(items, width: int) -> _ProductPlan:
-    """Shared-prefix products of the terms c * H_{a_1}(xi_1) * ... in slot order.
-
-    Term a's factor H_order(xi_slot) is entry order * width + slot of the
-    factor list.  Its product is formed left to right from c, and a prefix
-    (c, first k factors) that a later term also starts with is kept in a
-    memo buffer until the last term that reads it, so that term starts from
-    the kept value instead of multiplying it out again.  Each kept value is
-    the one the term would compute itself, so every term is bit for bit the
-    plain left-to-right product.  Every other product goes to the scratch.
-    """
-    # a prefix is a node: the bare coefficient c, or (shorter prefix, factor);
-    # a term meets its nodes that earlier terms made first, then its own
-    roots: Dict[float, int] = {}
-    children: Dict[Tuple[int, int], int] = {}
-    read_last: Dict[int, int] = {}
-    walks = []
-    for j, (a, c) in enumerate(items):
-        node = roots.setdefault(c, len(roots) + len(children))
-        source, computed = None, []
-        for slot, order in enumerate(a):
-            if order:
-                factor = order * width + slot
-                key = (node, factor)
-                node = children.get(key)
-                if node is None:
-                    node = children[key] = len(roots) + len(children)
-                    computed.append((factor, node))
-                else:
-                    source = node
-        if source is not None:
-            read_last[source] = j
-        walks.append((c, source, computed))
-    # memo buffers for the nodes a later term reads, reused once read for the last time
-    buffer_of: Dict[int, int] = {}
-    free, buffers, terms = [], 1, []
-    for j, (c, source, computed) in enumerate(walks):
-        steps = []
-        for factor, node in computed:
-            buffer = 0
-            if node in read_last:
-                if free:
-                    buffer = free.pop()
-                else:
-                    buffer, buffers = buffers, buffers + 1
-                buffer_of[node] = buffer
-            steps.append((factor, buffer))
-        terms.append((c, -1 if source is None else buffer_of[source], tuple(steps)))
-        if source is not None and read_last[source] == j:
-            free.append(buffer_of[source])
-    return _ProductPlan(tuple(terms), buffers)
-
-
-def _evaluate_products(plan: _ProductPlan, factors, shape) -> np.ndarray:
-    """The sum of the plan's terms over ``factors``, added in the plan's order.
-
-    factors[order * width + slot] is H_order at that slot, one array or
-    scalar of ``shape`` each (see :func:`_build_product_plan`).
-    """
-    buffers = [np.empty(shape) for _ in range(plan.buffers)]
-    out = np.zeros(shape)
-    for c, source, steps in plan.terms:
-        term = c if source < 0 else buffers[source]
-        for factor, buffer in steps:
-            term = np.multiply(term, factors[factor], out=buffers[buffer])
+    out = np.zeros(table.shape[2:])
+    term = np.empty(table.shape[2:])
+    for a, c in terms:
+        factors = [table[order, slot] for slot, order in enumerate(a) if order]
+        if not factors:
+            out += c
+            continue
+        np.multiply(c, factors[0], out=term)
+        for factor in factors[1:]:
+            term *= factor
         out += term
     return out
 

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 import numpy as np
 
 from . import hermite, multiindex as mi
-from .chaos import (ChaosExpansion, GridSpec, _CanonicalCoeffs, _evaluate_products, _exp_half,
+from .chaos import (ChaosExpansion, GridSpec, _CanonicalCoeffs, _evaluate_table, _exp_half,
                     _scaled_sqrt)
 from .multiindex import MultiIndex
 
@@ -124,10 +124,9 @@ def evaluate_decomposition(d: ClarkOconeDecomposition, xi) -> np.ndarray:
     total = len(paths)
     reach = max((term.ell for term in d.terms), default=0)
     degree = max((max(term.m, term.integrand.max_degree()) for term in d.terms), default=0)
-    plans = [term.integrand._product_plan(reach) for term in d.terms]
     rows = min(total, DECOMPOSITION_CHUNK)
-    buffers = max((plan.buffers for plan in plans), default=0)
-    mi._check_fits(total * 8 + ((degree + 2) * reach + buffers + 1) * rows * 8,
+    # the results, the chunk's slots and table, and _evaluate_table's two buffers
+    mi._check_fits(total * 8 + ((degree + 2) * reach + 2) * rows * 8,
                    f"decomposition values of {total} paths and their {rows}-path chunk tables")
     out = np.empty(total)
     slot_buffer = np.empty(reach * rows)
@@ -137,12 +136,11 @@ def evaluate_decomposition(d: ClarkOconeDecomposition, xi) -> np.ndarray:
         slots = slot_buffer[: reach * rows].reshape(reach, rows)
         np.copyto(slots, chunk[:, :reach].T)
         table = hermite.eval_all(degree, slots)  # (order, slot, path)
-        factors = list(table.reshape(-1, rows))
         value = out[lo : lo + rows]
         value.fill(d.mean)
-        for term, plan in zip(d.terms, plans):
-            term_value = _evaluate_products(plan, factors, (rows,))
-            term_value *= factors[term.m * reach + term.ell - 1]
+        for term in d.terms:
+            term_value = _evaluate_table(term.integrand.items(), table)
+            term_value *= table[term.m, term.ell - 1]
             value += term_value
     return float(out[0]) if not shape else out.reshape(shape)
 

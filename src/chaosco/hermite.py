@@ -16,14 +16,6 @@ import numpy as np
 from .multiindex import _check_fits
 
 
-def eval_normalized(m: int, x):
-    """H_m at x (scalar or ndarray), orthonormal normalization: row m of :func:`eval_all`."""
-    if m < 0:
-        raise ValueError("Hermite order must be non-negative")
-    h = eval_all(m, x)[m]
-    return h if h.ndim else float(h)
-
-
 def eval_all(max_order: int, x: np.ndarray) -> np.ndarray:
     """Stack H_0..H_max_order along a new leading axis, one recurrence pass."""
     x = np.asarray(x, dtype=float)

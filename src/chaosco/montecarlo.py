@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -316,15 +317,17 @@ def _map_blocks(
     path.  The slot buffer is refilled for every call, so fn may overwrite
     it.  Every fn runs on the calling thread, block after block.
 
-    With k = _pool_size(workers, n_blocks) >= 2, k - 1 sampler threads fill
-    a ring of k stream buffers, block b into buffer b mod k and sampler
-    b mod (k - 1), while the calling thread evaluates the blocks in order;
-    a buffer is refilled once its block has been evaluated.  With k = 1 the
-    calling thread samples too, into one stream buffer.  Either way k + 1
-    block buffers are held, so memory does not grow with n_samples beyond
-    the results and what fn allocates per call.  Every block is keyed by its
-    own index, so results do not depend on k.  An exception in a sampler or
-    in fn stops the samplers, and is raised here once they have ended.
+    With k = _pool_size(workers, n_blocks) >= 2, a pool of k - 1 sampler
+    threads keeps the k - 1 blocks after the one being evaluated in flight,
+    block b in stream buffer b mod k of a ring of k; numpy's generator fills
+    a buffer without holding the GIL.  Block b + k - 1 is submitted once
+    block b has been sampled, into the buffer of block b - 1, which has been
+    evaluated.  With k = 1 the calling thread samples too, into one stream
+    buffer.  Either way k + 1 block buffers are held, so memory does not
+    grow with n_samples beyond the results and what fn allocates per call.
+    Every block is keyed by its own index, so results do not depend on k.
+    An exception in a sampler or in fn is raised here once the samplers have
+    finished the blocks they had started; the others are dropped.
     """
     first = batches[0]
     shared = (first.seed, first.n_samples, first.workers)
@@ -338,79 +341,47 @@ def _map_blocks(
     _check_fits((threads + 1) * size * 8,
                 f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {max_slots} slots")
     outs = [np.empty(n) for _ in batches]
+    ring = [np.empty(size) for _ in range(threads)]
     slot_buffer = np.empty(size)
 
-    def stream_rows(b: int, stream: np.ndarray) -> np.ndarray:
+    def sample(b: int) -> None:
         lo, hi = _block_bounds(b, n)
-        return stream[: (hi - lo) * max_slots]
+        _sample_block(first.seed, b, ring[b % threads][: (hi - lo) * max_slots])
 
-    def evaluate_block(b: int, stream: np.ndarray) -> None:
+    def evaluate_block(b: int) -> None:
         lo, hi = _block_bounds(b, n)
         rows = hi - lo
         for batch, fn, out in zip(batches, fns, outs):
             slots = batch.grid.N
             xi = slot_buffer[: rows * slots].reshape(slots, rows)
-            paths = stream[: rows * slots].reshape(rows, slots)
+            paths = ring[b % threads][: rows * slots].reshape(rows, slots)
             for tile in range(0, rows, TRANSPOSE_ROWS):
                 tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
                 np.copyto(xi[:, tile_rows], paths[tile_rows].T)
             out[lo:hi] = fn(xi)
 
     if threads == 1:
-        stream = np.empty(size)
         for b in range(n_blocks):
-            _sample_block(first.seed, b, stream_rows(b, stream))
-            evaluate_block(b, stream)
+            sample(b)
+            evaluate_block(b)
         return outs
 
     # imported here: most runs have one thread and never pay for it
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
-    ring = [np.empty(size) for _ in range(threads)]
-    held = [-1] * threads  # the sampled, not yet evaluated block of each buffer
-    evaluated = 0  # blocks evaluated so far
-    stop = False
-    failures: List[BaseException] = []
-    changed = threading.Condition()
-
-    def sampler(first_block: int) -> None:
-        try:
-            for b in range(first_block, n_blocks, threads - 1):
-                with changed:
-                    # the buffer is free once block b - threads is evaluated
-                    changed.wait_for(lambda: stop or failures or evaluated > b - threads)
-                    if stop or failures:
-                        return
-                _sample_block(first.seed, b, stream_rows(b, ring[b % threads]))
-                with changed:
-                    held[b % threads] = b
-                    changed.notify_all()
-        except BaseException as exc:  # raised on the calling thread
-            with changed:
-                failures.append(exc)
-                changed.notify_all()
-
-    samplers = [threading.Thread(target=sampler, args=(i,), daemon=True)
-                for i in range(threads - 1)]
-    for thread in samplers:
-        thread.start()
+    ahead = threads - 1
+    pool = ThreadPoolExecutor(max_workers=ahead)
     try:
+        sampled = deque(pool.submit(sample, b) for b in range(ahead))
         for b in range(n_blocks):
-            with changed:
-                changed.wait_for(lambda: failures or held[b % threads] == b)
-                if failures:
-                    raise failures[0]
-            evaluate_block(b, ring[b % threads])
-            with changed:
-                held[b % threads] = -1
-                evaluated = b + 1
-                changed.notify_all()
+            sampled.popleft().result()
+            if b + ahead < n_blocks:
+                # into the buffer of block b - 1, which has been evaluated
+                sampled.append(pool.submit(sample, b + ahead))
+            evaluate_block(b)
     finally:
-        with changed:
-            stop = True
-            changed.notify_all()
-        for thread in samplers:
-            thread.join()
+        # on an exception, blocks not yet started are dropped
+        pool.shutdown(cancel_futures=True)
     return outs
 
 
@@ -469,8 +440,6 @@ def _conditional_delta(
     are built once.  Smooth payoffs are heat-kernel smoothed by quadrature in
     the residual variable, one slot at a time; the digital evaluates the
     exact Gaussian density formula on all slots at once, in place in out.
-    A polynomial of degree <= 2 has a one-node rule, ([0.0], [1.0]), and
-    its delta is f'(w) on all slots at once, in place in out.
     """
     if isinstance(payoff, DigitalPayoff):
         def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
@@ -483,8 +452,6 @@ def _conditional_delta(
     if isinstance(payoff, PolynomialPayoff):
         df = payoff.derivative()
         rule = hermite.gauss_hermite_rule(df.degree // 2 + 1)
-        if rule.nodes.size == 1:
-            return _linear_delta(np.asarray(df.coeffs, dtype=float))
     else:
         df = payoff.df
         rule = hermite.gauss_hermite_rule(24)
@@ -493,30 +460,6 @@ def _conditional_delta(
         for w_slot, root, out_slot in zip(w, sqrt_var[:, 0].tolist(), out):
             shifted = w_slot[:, None] + root * rule.nodes[None, :]
             np.matmul(np.asarray(df(shifted)), rule.weights, out=out_slot)
-
-    return delta
-
-
-def _linear_delta(coeffs: np.ndarray) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
-    """The one-node quadrature delta of f' = polyval(., coeffs), bit for bit.
-
-    The quadrature evaluates polyval at w + sqrt_var * 0.0 = w + 0.0 and
-    takes the (paths, 1) @ (1,) product with the weight 1.0, which is
-    0 + 1.0 * v.  Here polyval's Horner order runs over the whole
-    coefficient tuple, c0 = c[-1] + x*0 and then c0 = c[-i] + c0*x, at
-    x = w, and 0.0 is added at the end.  x = w and x = w + 0.0 differ only
-    at w = -0, where every partial value is finite and the two can differ
-    only in the sign of a zero, so the final + 0.0, like the product's
-    0 + v, gives the same bits.
-    """
-
-    def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(w, 0.0, out=out)
-        out += coeffs[-1]
-        for c in coeffs[-2::-1]:
-            out *= w
-            out += c
-        out += 0.0
 
     return delta
 

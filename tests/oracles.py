@@ -9,7 +9,8 @@ they are independent routes to quantities chaosco computes another way:
 - the Hilbert-Schmidt pairings of two Fourier-Hermite systems, by brute
   force over permutation pairs, by contingency tables, and in the
   coarse/fine closed form, with the coarse/fine Gram matrix;
-- Fourier-Hermite products at given increments, and Gauss-rule integration;
+- one Hermite order at given points, Fourier-Hermite products at given
+  increments, and Gauss-rule integration;
 - pathwise evaluation of an expansion and of its decomposition, one whole
   batch per term;
 - the interpolated tail-mass bound, the constant expansion and the
@@ -104,6 +105,14 @@ def parse_multiindex(text: str) -> MultiIndex:
 # Hermite products and quadrature
 
 
+def eval_normalized(m: int, x):
+    """H_m at x (scalar or ndarray), orthonormal normalization: row m of ``hermite.eval_all``."""
+    if m < 0:
+        raise ValueError("Hermite order must be non-negative")
+    h = hermite.eval_all(m, x)[m]
+    return h if h.ndim else float(h)
+
+
 def eval_fourier_hermite(a: MultiIndex, xi) -> float:
     """Product over slots i of H_{a_i} at the i-th standardized increment."""
     a = canonical(a)
@@ -115,7 +124,7 @@ def eval_fourier_hermite(a: MultiIndex, xi) -> float:
     out = np.ones(xi.shape[:-1])
     for i, ai in enumerate(a):
         if ai:
-            out = out * hermite.eval_normalized(ai, xi[..., i])
+            out = out * eval_normalized(ai, xi[..., i])
     return float(out) if out.ndim == 0 else out
 
 
@@ -286,7 +295,7 @@ def evaluate_decomposition_reference(d: ClarkOconeDecomposition, xi) -> np.ndarr
     xi = np.asarray(xi, dtype=float)
     out = np.full(xi.shape[:-1], d.mean)
     for term in d.terms:
-        basis = hermite.eval_normalized(term.m, xi[..., term.ell - 1])
+        basis = eval_normalized(term.m, xi[..., term.ell - 1])
         out = out + evaluate_reference(term.integrand, xi) * basis
     return out
 

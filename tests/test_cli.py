@@ -731,8 +731,8 @@ def test_slot_sized_arrays_refused_before_allocating(tmp_path, capsys, argv, wha
 
 
 def test_startup_imports_no_thread_pool_or_json():
-    # json is imported for a config file only, and no run needs a thread
-    # pool; importing the CLI pays for neither
+    # concurrent.futures is imported for a multi-threaded run and json for a
+    # config file; importing the CLI pays for neither
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, chaosco.cli; "

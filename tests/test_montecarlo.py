@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -399,9 +398,9 @@ def test_path_results_refused_beyond_physical_memory(monkeypatch):
 
 
 def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
-    # the workers + 1 block buffers, a Hermite table with the product plan's
-    # memo buffers, and a decomposition's chunk table are each counted
-    # before anything is allocated; physical memory is counted in bytes here
+    # the workers + 1 block buffers and a decomposition's chunk table are
+    # each counted before anything is allocated; physical memory is counted
+    # in bytes here
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     pages = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
@@ -418,13 +417,10 @@ def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
     blocks = (3 + 1) * mc.SAMPLE_BLOCK * 4 * 8
     assert refused_at(blocks, lambda: mc.occupation_value(batch)).shape == (3 * mc.SAMPLE_BLOCK,)
     f = mc.coeffs_terminal(mc.PolynomialPayoff((0.0, 1.0, 0.0, 1.0)), GridSpec(1.0, 3), 3)
-    xi = np.zeros((1000, 3))
-    table = (f.max_degree() + 2) * 3 * 1000 * 8
-    need = table + (f._product_plan(3).buffers + 1) * 1000 * 8
-    assert refused_at(need, lambda: chaos.evaluate(f, xi)).shape == (1000,)
     d = co.decompose(f)
-    plans = [term.integrand._product_plan(3) for term in d.terms]
-    need = 1000 * 8 + table + (max(p.buffers for p in plans) + 1) * 1000 * 8
+    xi = np.zeros((1000, 3))
+    # the results, then the slots and (degree + 1)-order table, then two term buffers
+    need = 1000 * 8 + ((f.max_degree() + 2) * 3 + 2) * 1000 * 8
     assert refused_at(need, lambda: co.evaluate_decomposition(d, xi)).shape == (1000,)
 
 
@@ -589,54 +585,10 @@ def test_digital_delta_in_place_bit_equal():
         assert (out == 0.0).any() and (out[(out > 0) & (out < 2.3e-308)]).size
 
 
-def test_one_node_delta_bit_equal():
-    # polynomials of degree <= 2 take f'(w) in place, bit for bit the
-    # one-node quadrature, including the +0 its (paths, 1) @ (1,) product
-    # makes of a -0 that polyval gives (f' = -0 - 2x at x = 0)
-    tiny = np.nextafter(0.0, 1.0)
-    w_row = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 0.3, -2.5, 1.5, 1e100, -1e100]
-    variances = [1.0, 0.25, 3.0]
-    w = np.array([w_row] * len(variances))
-    sqrt_var = np.sqrt(np.array(variances))[:, None]
-    negative_zero = False
-    for coeffs in ((3.0,), (0.0, 2.5), (1.0, -0.0, -1.0), (0.0, 0.0, 1.0, 0.0, 0.0),
-                   (-0.0, 1.0, 0.5), (1e-300, -2.0, 3.0), (0.0, 0.0, 0.0)):
-        payoff = mc.PolynomialPayoff(coeffs)
-        assert hermite.gauss_hermite_rule(payoff.derivative().degree // 2 + 1).nodes.size == 1
-        out = np.empty_like(w)
-        mc._conditional_delta(payoff)(w, sqrt_var, out)
-        for row, v in enumerate(variances):
-            want = _delta_reference(payoff, w[row], v)
-            assert out[row].tobytes() == want.tobytes()
-        df = payoff.derivative()
-        negative_zero |= bool(np.signbit(df(w + 0.0)[out == 0.0]).any())
-    assert negative_zero
-
-
-def _within(seconds, call):
-    """call() on a helper thread, its exception re-raised; fails if not done in time."""
-    done = []
-
-    def run():
-        try:
-            done.append((call(), None))
-        except Exception as exc:  # re-raised below, on the test's thread
-            done.append((None, exc))
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=seconds)
-    assert not thread.is_alive() and done
-    (value, error), = done
-    if error is not None:
-        raise error
-    return value
-
-
 @pytest.mark.parametrize("workers", [2, 4])
 def test_map_blocks_failure_ends_every_thread(monkeypatch, workers):
-    # an exception in a sampler or in fn ends the pipeline with that
-    # exception, promptly, with no sampler left running or waiting on the ring
+    # an exception in a sampler or in fn is raised by _map_blocks with no
+    # sampler thread left behind
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     batch = mc.sample_paths(GridSpec(1.0, 3), 10 * mc.SAMPLE_BLOCK, seed=1, workers=workers)
     sample_block = mc._sample_block
@@ -649,42 +601,27 @@ def test_map_blocks_failure_ends_every_thread(monkeypatch, workers):
 
         return sampler
 
-    calls = []
-
     def failing_fn(xi):
         calls.append(None)
         if len(calls) == 3:
             raise ArithmeticError("estimator failed")
         return xi[0].copy()
 
+    calls = []
     before = set(threading.enumerate())
-    # block 0 fails while the calling thread waits for it, block 5 mid-stream
+    # the first block fails, a block mid-stream fails, the third fn call fails
     for sampler, fn, error in ((failing_sampler(0), lambda xi: xi[0].copy(), LookupError),
                                (failing_sampler(5), lambda xi: xi[0].copy(), LookupError),
                                (sample_block, failing_fn, ArithmeticError)):
         monkeypatch.setattr(mc, "_sample_block", sampler)
         with pytest.raises(error, match="failed"):
-            _within(10.0, lambda: mc._map_blocks([batch], [fn]))
+            mc._map_blocks([batch], [fn])
         assert set(threading.enumerate()) == before
     assert len(calls) == 3
-    # and with nothing failing, every sampler has ended on return
     monkeypatch.setattr(mc, "_sample_block", sample_block)
-    first_slot, = _within(10.0, lambda: mc._map_blocks([batch], [lambda xi: xi[0].copy()]))
+    first_slot, = mc._map_blocks([batch], [lambda xi: xi[0].copy()])
     assert np.array_equal(first_slot, batch.increments[:, 0])
     assert set(threading.enumerate()) == before
-
-
-def test_product_plan_shares_prefixes():
-    # mc-norms' error tail: 8,517 terms whose 34,816 left-to-right
-    # multiplies share their prefixes down to 15,387, the plan built once
-    grid = GridSpec(1.0, 8)
-    tail = co.err_tail(mc.coeffs_terminal(mc.DigitalPayoff(0.0), grid, 10), 1)
-    plan = tail._product_plan(8)
-    assert plan is tail._product_plan(8)
-    assert len(plan.terms) == len(tail.coeffs) == 8517
-    assert sum(sum(map(bool, a)) for a in tail.coeffs) == 34816
-    assert sum(len(steps) for _, _, steps in plan.terms) == 15387
-    assert plan.buffers <= 49
 
 
 def test_tracking_error_hedges_reject_mismatched_batches():
