@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -240,11 +239,11 @@ class PathBatch:
     Only the grid, the sample count, the Philox seed and the thread count are
     stored.  The increments of block b are regenerated bit for bit from
     (seed, b) whenever an estimator streams the batch (``_map_blocks``): with
-    ``workers`` = k >= 2 threads, k - 1 sampler threads fill a ring of k
-    block buffers and the calling thread runs the estimator on one more, so
-    k + 1 block buffers are held whatever the sample count.
-    ``increments`` materializes the whole (n_samples, N) array on first
-    access, block by block in one thread, and keeps it.
+    ``workers`` >= 2, one sampler thread fills a block while the calling
+    thread runs the estimator, and two block buffers are held at every
+    ``workers`` and sample count.  ``increments`` materializes the whole
+    (n_samples, N) array on first access, block by block in one thread, and
+    keeps it.
     """
 
     grid: GridSpec
@@ -253,8 +252,8 @@ class PathBatch:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        if self.n_samples < 1 or self.workers < 1:
+            raise ValueError("n_samples and workers must be >= 1")
 
     @property
     def n_blocks(self) -> int:
@@ -286,8 +285,19 @@ class PathBatch:
 
 
 def _sample_block(seed: int, block: int, rows: np.ndarray) -> None:
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(block))
-    rng.standard_normal(out=rows)
+    _block_pieces(seed, block, rows.reshape(-1), [rows.size])[0]()
+
+
+def _block_pieces(
+    seed: int, block: int, stream: np.ndarray, ends: Sequence[int]
+) -> List[Callable[[], None]]:
+    """Fills of stream[:ends[0]], stream[ends[0]:ends[1]], ... from block's generator.
+
+    Run in order, they leave stream[:ends[-1]] bit-equal to _sample_block's
+    one fill: the generator draws the same normals however its output is cut.
+    """
+    fill = np.random.Generator(np.random.Philox(key=seed).jumped(block)).standard_normal
+    return [partial(fill, out=stream[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
@@ -296,9 +306,10 @@ def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
 
 
 def _pool_size(workers: int, n_blocks: int) -> int:
-    """Threads of the streamed estimators, the calling one included.
+    """Threads the streamed estimators may use, the calling one included.
 
-    Never more than requested, blocks, or CPUs.
+    Never more than requested, blocks, or CPUs; at 2 or more, one sampler
+    thread fills the blocks while the calling thread evaluates them.
     """
     return max(1, min(workers, n_blocks, os.cpu_count() or 1))
 
@@ -310,78 +321,75 @@ def _map_blocks(
 
     The batches share seed, sample count and workers, so block b of each is
     the same Philox stream cut to its own grid: it is sampled once, row-major
-    at the largest N, into a stream buffer, and every batch reads its rows
-    from a prefix of it.  That prefix is transposed, TRANSPOSE_ROWS rows at a
-    time so that each tile stays in cache, into the one C-contiguous
+    at the largest N, into one stream buffer, and every batch reads its rows
+    from a prefix of it.  The stream is filled in pieces that end at each
+    distinct rows * N, and the batches are taken in ascending N, so each
+    prefix is transposed as soon as it is filled: TRANSPOSE_ROWS rows at a
+    time, so that each tile stays in cache, into the one C-contiguous
     slot-major (N, rows) buffer that fn receives; fn returns one value per
     path.  The slot buffer is refilled for every call, so fn may overwrite
     it.  Every fn runs on the calling thread, block after block.
 
-    With k = _pool_size(workers, n_blocks) >= 2, a pool of k - 1 sampler
-    threads keeps the k - 1 blocks after the one being evaluated in flight,
-    block b in stream buffer b mod k of a ring of k; numpy's generator fills
-    a buffer without holding the GIL.  Block b + k - 1 is submitted once
-    block b has been sampled, into the buffer of block b - 1, which has been
-    evaluated.  With k = 1 the calling thread samples too, into one stream
-    buffer.  Either way k + 1 block buffers are held, so memory does not
-    grow with n_samples beyond the results and what fn allocates per call.
-    Every block is keyed by its own index, so results do not depend on k.
-    An exception in a sampler or in fn is raised here once the samplers have
-    finished the blocks they had started; the others are dropped.
+    With _pool_size(workers, n_blocks) >= 2 the pieces run in order on one
+    sampler thread (numpy's generator fills without holding the GIL), and
+    block b + 1's are submitted once block b's last prefix is transposed,
+    so they overlap its last fn; otherwise the calling thread fills each
+    piece when its prefix is needed.  A block's stream comes from one
+    sequential generator and the calling thread is the busier one, so more
+    workers add no sampler.  Two block buffers are held at every worker
+    count, and memory does not grow with n_samples beyond the results and
+    what fn allocates per call.  Every block is keyed by its own index, so
+    results do not depend on workers.  An exception in a sampler or in fn
+    is raised here once the sampler has ended the piece it had started.
     """
+    if not batches:
+        return []
     first = batches[0]
     shared = (first.seed, first.n_samples, first.workers)
     if any((b.seed, b.n_samples, b.workers) != shared for b in batches):
         raise ValueError("path batches must share seed, n_samples and workers")
     n, n_blocks = first.n_samples, first.n_blocks
-    max_slots = max(b.grid.N for b in batches)
+    slot_counts = sorted({b.grid.N for b in batches})
     _check_fits(len(batches) * n * 8, f"results of {n} paths on {len(batches)} grids")
-    size = min(n, SAMPLE_BLOCK) * max_slots
-    threads = _pool_size(first.workers, n_blocks)
-    _check_fits((threads + 1) * size * 8,
-                f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {max_slots} slots")
+    size = min(n, SAMPLE_BLOCK) * slot_counts[-1]
+    _check_fits(2 * size * 8,
+                f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {slot_counts[-1]} slots")
     outs = [np.empty(n) for _ in batches]
-    ring = [np.empty(size) for _ in range(threads)]
-    slot_buffer = np.empty(size)
+    stream, slot_buffer = np.empty(size), np.empty(size)
+    order = sorted(range(len(batches)), key=lambda i: batches[i].grid.N)
+    pool = None
+    if _pool_size(first.workers, n_blocks) >= 2:
+        from concurrent.futures import ThreadPoolExecutor  # one-thread runs never pay for it
+        pool = ThreadPoolExecutor(max_workers=1)
 
-    def sample(b: int) -> None:
+    def sample(b: int) -> List[Callable[[], None]]:
+        # block b's pieces, one per distinct N, in the order the loop asks
+        # for them: each call waits for its piece, or fills it just once
         lo, hi = _block_bounds(b, n)
-        _sample_block(first.seed, b, ring[b % threads][: (hi - lo) * max_slots])
+        pieces = _block_pieces(first.seed, b, stream, [(hi - lo) * N for N in slot_counts])
+        return [pool.submit(fill).result for fill in pieces] if pool else list(map(cache, pieces))
 
-    def evaluate_block(b: int) -> None:
-        lo, hi = _block_bounds(b, n)
-        rows = hi - lo
-        for batch, fn, out in zip(batches, fns, outs):
-            slots = batch.grid.N
-            xi = slot_buffer[: rows * slots].reshape(slots, rows)
-            paths = ring[b % threads][: rows * slots].reshape(rows, slots)
-            for tile in range(0, rows, TRANSPOSE_ROWS):
-                tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
-                np.copyto(xi[:, tile_rows], paths[tile_rows].T)
-            out[lo:hi] = fn(xi)
-
-    if threads == 1:
-        for b in range(n_blocks):
-            sample(b)
-            evaluate_block(b)
-        return outs
-
-    # imported here: most runs have one thread and never pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    ahead = threads - 1
-    pool = ThreadPoolExecutor(max_workers=ahead)
     try:
-        sampled = deque(pool.submit(sample, b) for b in range(ahead))
+        pieces = sample(0)
         for b in range(n_blocks):
-            sampled.popleft().result()
-            if b + ahead < n_blocks:
-                # into the buffer of block b - 1, which has been evaluated
-                sampled.append(pool.submit(sample, b + ahead))
-            evaluate_block(b)
+            lo, hi = _block_bounds(b, n)
+            rows = hi - lo
+            for i in order:
+                slots = batches[i].grid.N
+                pieces[slot_counts.index(slots)]()
+                xi = slot_buffer[: rows * slots].reshape(slots, rows)
+                paths = stream[: rows * slots].reshape(rows, slots)
+                for tile in range(0, rows, TRANSPOSE_ROWS):
+                    tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
+                    np.copyto(xi[:, tile_rows], paths[tile_rows].T)
+                if i == order[-1] and b + 1 < n_blocks:
+                    # the stream has been read: block b + 1 fills it during this fn
+                    pieces = sample(b + 1)
+                outs[i][lo:hi] = fns[i](xi)
     finally:
-        # on an exception, blocks not yet started are dropped
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            # on an exception, pieces not yet started are dropped
+            pool.shutdown(cancel_futures=True)
     return outs
 
 
@@ -391,7 +399,8 @@ def sample_paths(
     """Deterministic batch of standardized normal increments.
 
     Generation happens in fixed SAMPLE_BLOCK-row blocks keyed by (seed, block
-    index), so every result is independent of the worker count.  Each block
+    index), so every result is independent of ``workers``, which only lets a
+    sampler thread fill the next block during estimation.  Each block
     is filled row-major from its own stream, so block b on N slots holds the
     first rows * N normals of block b on any larger grid with the same seed
     and sample count: one sampling pass serves a whole list of grids.

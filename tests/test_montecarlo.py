@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -398,9 +399,9 @@ def test_path_results_refused_beyond_physical_memory(monkeypatch):
 
 
 def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
-    # the workers + 1 block buffers and a decomposition's chunk table are
-    # each counted before anything is allocated; physical memory is counted
-    # in bytes here
+    # the two block buffers, at any worker count, and a decomposition's
+    # chunk table are each counted before anything is allocated; physical
+    # memory is counted in bytes here
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     pages = {"SC_PAGE_SIZE": 1}
     monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
@@ -414,7 +415,7 @@ def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
 
     grid = GridSpec(1.0, 4)
     batch = mc.sample_paths(grid, 3 * mc.SAMPLE_BLOCK, seed=1, workers=3)
-    blocks = (3 + 1) * mc.SAMPLE_BLOCK * 4 * 8
+    blocks = 2 * mc.SAMPLE_BLOCK * 4 * 8
     assert refused_at(blocks, lambda: mc.occupation_value(batch)).shape == (3 * mc.SAMPLE_BLOCK,)
     f = mc.coeffs_terminal(mc.PolynomialPayoff((0.0, 1.0, 0.0, 1.0)), GridSpec(1.0, 3), 3)
     d = co.decompose(f)
@@ -591,15 +592,21 @@ def test_map_blocks_failure_ends_every_thread(monkeypatch, workers):
     # sampler thread left behind
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     batch = mc.sample_paths(GridSpec(1.0, 3), 10 * mc.SAMPLE_BLOCK, seed=1, workers=workers)
-    sample_block = mc._sample_block
+    wide = mc.sample_paths(GridSpec(1.0, 8), 10 * mc.SAMPLE_BLOCK, seed=1, workers=workers)
+    block_pieces = mc._block_pieces
 
-    def failing_sampler(at):
-        def sampler(seed, block, rows):
+    def failing_sampler(at, piece=0):
+        def sampler(seed, block, stream, ends):
+            pieces = block_pieces(seed, block, stream, ends)
             if block == at:
-                raise LookupError("sampler failed")
-            sample_block(seed, block, rows)
+                pieces[piece] = partial(failing_piece, pieces[piece])
+            return pieces
 
         return sampler
+
+    def failing_piece(fill):
+        fill()
+        raise LookupError("sampler failed")
 
     def failing_fn(xi):
         calls.append(None)
@@ -607,21 +614,78 @@ def test_map_blocks_failure_ends_every_thread(monkeypatch, workers):
             raise ArithmeticError("estimator failed")
         return xi[0].copy()
 
+    def first_slot(xi):
+        return xi[0].copy()
+
     calls = []
     before = set(threading.enumerate())
-    # the first block fails, a block mid-stream fails, the third fn call fails
-    for sampler, fn, error in ((failing_sampler(0), lambda xi: xi[0].copy(), LookupError),
-                               (failing_sampler(5), lambda xi: xi[0].copy(), LookupError),
-                               (sample_block, failing_fn, ArithmeticError)):
-        monkeypatch.setattr(mc, "_sample_block", sampler)
+    # the first block fails, a block mid-stream fails, the second piece of a
+    # block mid-stream fails, the third fn call fails
+    for sampler, batches, fn, error in (
+            (failing_sampler(0), [batch], first_slot, LookupError),
+            (failing_sampler(5), [batch], first_slot, LookupError),
+            (failing_sampler(5, piece=1), [wide, batch], first_slot, LookupError),
+            (block_pieces, [batch], failing_fn, ArithmeticError)):
+        monkeypatch.setattr(mc, "_block_pieces", sampler)
         with pytest.raises(error, match="failed"):
-            mc._map_blocks([batch], [fn])
+            mc._map_blocks(batches, [fn] * len(batches))
         assert set(threading.enumerate()) == before
     assert len(calls) == 3
-    monkeypatch.setattr(mc, "_sample_block", sample_block)
-    first_slot, = mc._map_blocks([batch], [lambda xi: xi[0].copy()])
-    assert np.array_equal(first_slot, batch.increments[:, 0])
+    monkeypatch.setattr(mc, "_block_pieces", block_pieces)
+    for got, b in zip(mc._map_blocks([wide, batch], [first_slot] * 2), (wide, batch)):
+        assert np.array_equal(got, b.increments[:, 0])
     assert set(threading.enumerate()) == before
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.integers(0, 9), st.integers(1, 3001), st.data())
+def test_block_pieces_bit_equal_to_one_fill(seed, block, size, data):
+    # any cut of a block's stream, empty and odd-length pieces included,
+    # fills it with the normals of one fill, and nothing beyond its end
+    cuts = data.draw(st.lists(st.integers(0, size), max_size=6))
+    ends = sorted(cuts) + [size]
+    stream = np.full(size + 5, np.nan)
+    for fill in mc._block_pieces(seed, block, stream, ends):
+        fill()
+    one = np.empty(size)
+    mc._sample_block(seed, block, one)
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    assert stream[:size].tobytes() == one.tobytes() == rng.standard_normal(size).tobytes()
+    assert np.isnan(stream[size:]).all()
+
+
+def test_map_blocks_in_any_grid_order_bit_equal_across_workers(monkeypatch):
+    # grids in non-ascending order, a repeated grid and a single grid: every
+    # hedge residual and occupation time is the materialized reference's at
+    # every worker count
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(mc, "_l2_of_samples", lambda values: values.copy())
+    payoff = mc.DigitalPayoff(0.0)
+    n_samples = 2 * mc.SAMPLE_BLOCK + 33
+    for n_list in ([256, 3, 17, 3], [17]):
+        serial = [mc.sample_paths(GridSpec(1.0, n), n_samples, 21) for n in n_list]
+        hedges = [_hedge_residual_materialized(payoff, b.grid, b).tobytes() for b in serial]
+        occupations = [(np.sum(b.brownian_paths() >= 0.0, axis=1) * b.grid.dt).tobytes()
+                       for b in serial]
+        for workers in (1, 2, 4):
+            batches = [mc.sample_paths(GridSpec(1.0, n), n_samples, 21, workers)
+                       for n in n_list]
+            got = mc.tracking_error_hedges(payoff, batches)
+            assert [r.tobytes() for r in got] == hedges
+            assert [mc.occupation_value(b).tobytes() for b in batches] == occupations
+
+
+def test_empty_batch_list_gives_no_results():
+    assert mc._map_blocks([], []) == []
+    assert mc.tracking_error_hedges(mc.DigitalPayoff(0.0), []) == []
+
+
+def test_path_batch_rejects_worker_counts_below_one():
+    grid = GridSpec(1.0, 2)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            mc.sample_paths(grid, 10, seed=1, workers=workers)
+    assert mc.sample_paths(grid, 10, seed=1, workers=1).workers == 1
 
 
 def test_tracking_error_hedges_reject_mismatched_batches():
