@@ -24,17 +24,18 @@ print(f"quadratic payoff, N=4: tracking error {est.estimate:.4f} "
 # at a low and a high truncation degree
 sweep = [4, 8, 16, 32, 64, 128, 256]
 for degree in (20, 1000):
-    report = mc.rate_sweep(mc.DigitalPayoff(0.0), 1, 0.0, 1.0, sweep, 1, 1.0, degree)
-    print(f"digital payoff, truncation degree {degree:4d}: "
-          f"slope {report.fitted_slope:.3f}")
+    f = mc.coeffs_terminal(mc.DigitalPayoff(0.0), GridSpec(1.0, 1), degree)
+    slope, _ = co.fit_loglog_slope(sweep, [co.err_norm_refined(f, 1, n1, 0.0) for n1 in sweep])
+    print(f"digital payoff, truncation degree {degree:4d}: slope {slope:.3f}")
 print("(a fixed-degree truncation is polynomial, so low degrees drift toward "
       "the smooth -1/2 rate)")
 
 # occupation time of the positive half-line: exact truncated-coefficient
 # error norms across grid sizes
-rows = mc.occupation_rate_sweep(1, [4, 8, 16, 32, 64], 1.0, 20)
-slope, _ = co.fit_loglog_slope([n for n, _ in rows], [e for _, e in rows])
+n_list = [4, 8, 16, 32, 64]
+errs = [mc.occupation_error_norm(GridSpec(1.0, n_steps), 1, 20) for n_steps in n_list]
+slope, _ = co.fit_loglog_slope(n_list, errs)
 print("\noccupation time, first-order error by grid size:")
-for n_steps, err in rows:
+for n_steps, err in zip(n_list, errs):
     print(f"  N={n_steps:3d}: {err:.6f}")
 print(f"fitted slope {slope:.3f}")

@@ -4,7 +4,6 @@ from .chaos import ChaosExpansion, GridSpec
 from .clark_ocone import (
     ClarkOconeDecomposition,
     ClarkOconeTerm,
-    RateReport,
     decompose,
     err_norm_refined,
     err_tail,
@@ -27,7 +26,6 @@ __all__ = [
     "GridSpec",
     "ClarkOconeDecomposition",
     "ClarkOconeTerm",
-    "RateReport",
     "decompose",
     "reconstruct",
     "err_tail",

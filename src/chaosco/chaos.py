@@ -48,7 +48,8 @@ class ChaosExpansion:
 
     The zero-index coefficient is the (generalized) expectation; the squared
     L2 norm is the sum of squared coefficients.  Coefficients below 1e-14 in
-    magnitude are pruned at construction.
+    magnitude are pruned at construction; a NaN or infinite one raises a
+    ValueError.
     """
 
     grid: GridSpec
@@ -69,6 +70,8 @@ class ChaosExpansion:
                         f"index {key} needs {len(key)} slots but grid has {self.grid.N}"
                     )
                 value = float(value)
+                if not math.isfinite(value):
+                    raise ValueError(f"coefficient of index {key} is not finite: {value!r}")
                 if abs(value) > COEFF_PRUNE:
                     clean[key] = clean.get(key, 0.0) + value
         object.__setattr__(self, "coeffs", clean)
@@ -196,7 +199,9 @@ def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     """Pathwise value at standardized increments xi (last axis has N entries).
 
     A slot-major xi, such as ``np.moveaxis(slots, 0, -1)`` of a C-contiguous
-    (N, ...) array, is read without a copy.
+    (N, ...) array, is read without a copy.  The slots the keys reach, their
+    Hermite table and _evaluate_table's two buffers are checked against
+    physical memory first.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != f.grid.N:
@@ -207,6 +212,9 @@ def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     # contiguous run
     degree = sum(terms[-1][0]) if terms else 0
     reach = max(map(len, f.coeffs), default=0)
+    paths = math.prod(xi.shape[:-1])
+    mi._check_fits(((degree + 2) * reach + 2) * paths * 8,
+                   f"Hermite table of degree {degree} on {reach} slots for {paths} paths")
     slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0)[:reach])
     table = hermite.eval_all(degree, slots)  # (order, slot, ...)
     out = _evaluate_table(terms, table)

@@ -19,7 +19,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -52,19 +52,6 @@ class ClarkOconeDecomposition:
     grid: GridSpec
     mean: float
     terms: Tuple[ClarkOconeTerm, ...]
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Error norms and bounds across refinement factors, with a log-log slope."""
-
-    payoff_id: str
-    n: int
-    s: float
-    r: float
-    rows: Tuple[Tuple[int, float, float], ...]  # (N1, error_norm, bound)
-    fitted_slope: float
-    fit_points: int
 
 
 def decompose(f: ChaosExpansion) -> ClarkOconeDecomposition:
@@ -419,27 +406,3 @@ def fit_loglog_slope(xs, ys) -> Tuple[float, int]:
     slope = float(np.polyfit(lx, ly, 1)[0])
     return slope, len(pts)
 
-
-def rate_report(
-    payoff_id: str,
-    f: ChaosExpansion,
-    n: int,
-    s: float,
-    r: float,
-    n1_list: List[int],
-) -> RateReport:
-    """Exact refined error norms and bounds across N1 values, with a slope fit."""
-    if not n1_list or any(b <= a for a, b in zip(n1_list, n1_list[1:])):
-        raise ValueError("N1 list must be nonempty and strictly increasing")
-    table = verify_bounds(f, [n], n1_list, [s], [r])
-    rows = [(n1, lhs, rhs) for _, n1, _, _, lhs, rhs, _, _ in table]
-    slope, used = fit_loglog_slope([row[0] for row in rows], [row[1] for row in rows])
-    return RateReport(
-        payoff_id=payoff_id,
-        n=n,
-        s=s,
-        r=r,
-        rows=tuple(rows),
-        fitted_slope=slope,
-        fit_points=used,
-    )

@@ -29,15 +29,14 @@ import numpy as np
 
 from . import multiindex as mi
 from .chaos import ChaosExpansion, GridSpec, csv_field_template, write_expansion_csv
-from .clark_ocone import bound_holds, decompose, verify_bounds
+from .clark_ocone import decompose, fit_loglog_slope, verify_bounds
 from .montecarlo import (
     DigitalPayoff,
     OccupationTimePayoff,
     PolynomialPayoff,
     coeffs_occupation_time,
     coeffs_terminal,
-    occupation_rate_sweep,
-    rate_sweep,
+    occupation_error_norm,
     sample_paths,
     tracking_error_hedges,
 )
@@ -373,14 +372,13 @@ def cmd_rate_sweep(cfg: Dict[str, object]) -> int:
     if isinstance(payoff, OccupationTimePayoff):
         raise ConfigError("rate-sweep requires a terminal payoff; "
                           "use simulate-hedge for the occupation functional")
-    report = rate_sweep(payoff, cfg["order_n"], cfg["sobolev_s"], cfg["interp_r"],
-                        cfg["N1_list"], cfg["N0"], cfg["T"], cfg["max_degree"])
-    rows = (
-        (n1, err, bound, _HOLDS[bound_holds(err, bound)])
-        for n1, err, bound in report.rows
-    )
+    f = coeffs_terminal(payoff, GridSpec(cfg["T"], cfg["N0"]), cfg["max_degree"])
+    table = verify_bounds(f, [cfg["order_n"]], cfg["N1_list"], [cfg["sobolev_s"]],
+                          [cfg["interp_r"]])
+    rows = [(n1, lhs, rhs, _HOLDS[holds]) for _, n1, _, _, lhs, rhs, holds, _ in table]
+    slope, _ = fit_loglog_slope([row[0] for row in rows], [row[1] for row in rows])
     _write_table("rate-sweep", cfg, ["N1", "error_norm", "bound", "holds"],
-                 "%d,%.17g,%.17g,%s\n", rows, trailer=[f"slope={report.fitted_slope:.17g}"])
+                 "%d,%.17g,%.17g,%s\n", rows, trailer=[f"slope={slope:.17g}"])
     return EXIT_OK
 
 
@@ -390,8 +388,8 @@ def cmd_simulate_hedge(cfg: Dict[str, object]) -> int:
         # l2_estimate is the exact norm of the degree-truncated expansion's
         # first-order error, not a hedge simulation; std_error is 0
         comments = ["method=truncated-chaos"]
-        sweep = occupation_rate_sweep(1, cfg["N_list"], cfg["T"], cfg["max_degree"])
-        rows = [(n_steps, err, 0.0) for n_steps, err in sweep]
+        grids = [GridSpec(cfg["T"], n_steps) for n_steps in cfg["N_list"]]
+        rows = [(grid.N, occupation_error_norm(grid, 1, cfg["max_degree"]), 0.0) for grid in grids]
     else:
         comments = []
         # one batch per N, all hedged from one sampling pass at the largest N

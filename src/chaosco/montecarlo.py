@@ -15,13 +15,13 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import clark_ocone, hermite, multiindex as mi
+from . import hermite, multiindex as mi
 from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, evaluate
-from .clark_ocone import RateReport, err_tail, rate_report
+from .clark_ocone import err_tail
 from .multiindex import PathBatchTooLarge, _check_fits  # noqa: F401 (re-exported)
 
 #: per-block sample count for counter-based generation
@@ -40,6 +40,10 @@ class PolynomialPayoff:
     """f(W_T) = sum_k coeffs[k] * W_T^k."""
 
     coeffs: Tuple[float, ...]
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("polynomial coefficients must be finite")
 
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
@@ -87,6 +91,16 @@ class OccupationTimePayoff:
 
 TerminalPayoff = Union[PolynomialPayoff, SmoothPayoff, DigitalPayoff]
 Payoff = Union[TerminalPayoff, OccupationTimePayoff]
+
+
+def payoff_label(payoff: Payoff) -> str:
+    if isinstance(payoff, PolynomialPayoff):
+        return "poly:" + ",".join(format(c, "g") for c in payoff.coeffs)
+    if isinstance(payoff, DigitalPayoff):
+        return f"digital:{payoff.strike:g}"
+    if isinstance(payoff, OccupationTimePayoff):
+        return "occupation"
+    return getattr(payoff, "name", "smooth")
 
 
 def hermite_expand_terminal(
@@ -560,46 +574,3 @@ def occupation_value(batch: PathBatch) -> np.ndarray:
         return (w >= 0.0).sum(axis=0) * batch.grid.dt
 
     return _map_blocks([batch], [occupation])[0]
-
-
-# ---------------------------------------------------------------------------
-# Rate sweeps
-
-
-def rate_sweep(
-    payoff: TerminalPayoff,
-    n: int,
-    s: float,
-    r: float,
-    n1_list: Sequence[int],
-    n0: int,
-    T: float,
-    max_degree: int,
-    payoff_id: Optional[str] = None,
-) -> RateReport:
-    """Exact refined error norms of a terminal payoff across N1 values."""
-    grid = GridSpec(T, n0)
-    f = coeffs_terminal(payoff, grid, max_degree)
-    return rate_report(
-        payoff_id or payoff_label(payoff), f, n, s, r, list(n1_list)
-    )
-
-
-def occupation_rate_sweep(
-    n: int, n_list: Sequence[int], T: float, max_degree: int
-) -> List[Tuple[int, float]]:
-    """Truncated-coefficient order-n error norms of the occupation functional."""
-    return [
-        (n_steps, occupation_error_norm(GridSpec(T, n_steps), n, max_degree))
-        for n_steps in n_list
-    ]
-
-
-def payoff_label(payoff: Payoff) -> str:
-    if isinstance(payoff, PolynomialPayoff):
-        return "poly:" + ",".join(format(c, "g") for c in payoff.coeffs)
-    if isinstance(payoff, DigitalPayoff):
-        return f"digital:{payoff.strike:g}"
-    if isinstance(payoff, OccupationTimePayoff):
-        return "occupation"
-    return getattr(payoff, "name", "smooth")

@@ -194,15 +194,15 @@ def test_criterion_06_error_bound_and_rate():
                         min_slack = min(min_slack, check.slack)
     slopes_ok = True
     slope_detail = []
+    n1_list = [4, 8, 16, 32, 64, 128, 256]
     for m in (3, 4, 5):
         f = ChaosExpansion(GridSpec(1.0, 1), {(m,): 1.0})
         for n in range(1, m):
-            report = co.rate_report(
-                f"H{m}", f, n, 0.0, 1.0, [4, 8, 16, 32, 64, 128, 256]
-            )
-            if abs(report.fitted_slope - (-n / 2.0)) > 0.1:
+            errs = [co.err_norm_refined(f, n, n1, 0.0) for n1 in n1_list]
+            slope, _ = co.fit_loglog_slope(n1_list, errs)
+            if abs(slope - (-n / 2.0)) > 0.1:
                 slopes_ok = False
-                slope_detail.append(f"m={m},n={n}:{report.fitted_slope:.3f}")
+                slope_detail.append(f"m={m},n={n}:{slope:.3f}")
     elapsed = time.time() - start
     _report(
         6,
@@ -250,11 +250,10 @@ def test_criterion_08_quadratic_tracking_error():
 
 def test_criterion_09_digital_rate_band():
     start = time.time()
-    report = mc.rate_sweep(
-        mc.DigitalPayoff(0.0), 1, 0.0, 1.0, [4, 8, 16, 32, 64, 128, 256], 1, 1.0, 20
-    )
+    n1_list = [4, 8, 16, 32, 64, 128, 256]
+    f = mc.coeffs_terminal(mc.DigitalPayoff(0.0), GridSpec(1.0, 1), 20)
+    slope, _ = co.fit_loglog_slope(n1_list, [co.err_norm_refined(f, 1, n1, 0.0) for n1 in n1_list])
     elapsed = time.time() - start
-    slope = report.fitted_slope
     _report(
         9,
         "digital payoff first-order rate slope in [-0.35, -0.15] at degree 20",
@@ -264,8 +263,9 @@ def test_criterion_09_digital_rate_band():
 
 
 def test_criterion_10_occupation_rate_band():
-    rows = mc.occupation_rate_sweep(1, [4, 8, 16, 32, 64], 1.0, 20)
-    slope, _ = co.fit_loglog_slope([n for n, _ in rows], [e for _, e in rows])
+    n_list = [4, 8, 16, 32, 64]
+    errs = [mc.occupation_error_norm(GridSpec(1.0, n), 1, 20) for n in n_list]
+    slope, _ = co.fit_loglog_slope(n_list, errs)
     _report(
         10,
         "occupation-time first-order rate slope in [-0.65, -0.35]",

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import re
 import tracemalloc
 from collections import Counter, OrderedDict
@@ -51,6 +52,14 @@ def test_expansion_canonicalizes_and_prunes():
     assert f.coeffs == {(1,): 2.0}
     with pytest.raises(ValueError):
         ChaosExpansion(GridSpec(1.0, 1), {(0, 1): 1.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_expansion_rejects_non_finite_coefficient(value):
+    # the prune test abs(c) > COEFF_PRUNE is false for a NaN and true for an
+    # infinity: neither may pass as a pruned or a kept coefficient
+    with pytest.raises(ValueError, match="not finite"):
+        ChaosExpansion(GridSpec(1.0, 2), {(1,): value, (2,): 1.0})
 
 
 _ENTRY = st.one_of(
@@ -171,6 +180,26 @@ def test_evaluate():
     assert chaos.evaluate(fsq, [1.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         chaos.evaluate(fsq, [1.0, 2.0])
+
+
+def test_evaluate_refused_beyond_physical_memory(monkeypatch):
+    # degree 10 on 4 slots: the slots, the 11-order table and two buffers
+    # are 50 doubles a path, 400 bytes, against 100 pages of 4096 bytes
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    f = ChaosExpansion(GridSpec(1.0, 4), {(): 0.5, (0, 0, 0, 10): 1.0})
+    xi = np.zeros((20_000, 4))
+    assert chaos.evaluate(f, xi[:1024]).shape == (1024,)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mi.PathBatchTooLarge, match=f" {400 * 1025} bytes"):
+            chaos.evaluate(f, xi[:1025])
+        with pytest.raises(mi.PathBatchTooLarge, match=f" {400 * 20_000} bytes"):
+            chaos.evaluate(f, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _evaluate_per_term(f, xi):
@@ -474,7 +503,7 @@ def test_write_expansion_csv_matches_csv_writer():
     keys = [(), (1,), (0, 3), (130,), (0, 0, 255), (1, 128, 0, 4000), (2, 1), (1, 0, 1)]
     rng.shuffle(keys)  # insertion order is not graded; the output is
     f = ChaosExpansion(GridSpec(1.0, 4), {a: rng.uniform(-1, 1) for a in keys})
-    # values that construction prunes, such as nan and -0.0, must format alike too
+    # values that construction prunes or refuses, such as -0.0 and nan, must format alike
     odd = dict(f.coeffs)
     odd.update({(1,): math.nan, (0, 3): math.inf, (2, 1): -math.inf, (130,): -0.0,
                 (): 1e-300, (1, 0, 1): -1.2345678901234567e-10})

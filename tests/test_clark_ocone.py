@@ -498,14 +498,13 @@ def test_fit_loglog_slope():
     assert used0 == 1 and math.isnan(slope_nan)
 
 
-def test_rate_report():
+def test_bound_table_rate():
     f = ChaosExpansion(GridSpec(1.0, 1), {(2,): 1.0})
-    report = co.rate_report("h2", f, 1, 0.0, 1.0, [4, 8, 16, 32, 64, 128, 256])
-    assert report.fitted_slope == pytest.approx(-0.5, abs=0.1)
-    for n1, err, bound in report.rows:
+    rows = list(co.verify_bounds(f, [1], [4, 8, 16, 32, 64, 128, 256], [0.0], [1.0]))
+    slope, _ = co.fit_loglog_slope([row[1] for row in rows], [row[4] for row in rows])
+    assert slope == pytest.approx(-0.5, abs=0.1)
+    for _, n1, _, _, err, bound, _, _ in rows:
         assert err <= bound * (1 + 1e-12)
-    with pytest.raises(ValueError):
-        co.rate_report("h2", f, 1, 0.0, 1.0, [8, 4])
 
 
 @PROPERTY

@@ -496,19 +496,6 @@ def test_simulate_hedge_two_lanes_peak_memory(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
-def test_simulate_hedge_sampler_pipeline_peak_memory(tmp_path):
-    # the benchmark's seven-grid hedge on two threads holds two 8 MB block
-    # buffers: 54.6 MB measured, where a ring of two stream buffers and the
-    # slot buffer took 63.2 MB and two lanes of two buffers 71.9 MB
-    code, peak_mb = _child_peak_rss(
-        ["-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0",
-         "--N-list", "4,8,16,32,64,128,256", "--samples", "50000", "--workers", "2",
-         "--out", str(tmp_path / "hedge.csv")])
-    assert code == EXIT_OK
-    assert peak_mb < 67.0
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_simulate_hedge_peak_memory_same_at_one_and_two_threads(tmp_path):
     # one stream buffer and one slot buffer at every --workers: the sampler
     # thread adds no block buffer (54.1 MB on one thread, 54.6 MB on two)

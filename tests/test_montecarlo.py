@@ -27,6 +27,14 @@ def test_polynomial_payoff():
     assert mc.PolynomialPayoff((5.0,)).degree == 0
 
 
+@pytest.mark.parametrize("coeffs", [(math.nan,), (0.0, math.inf), (1.0, 0.0, -math.inf)])
+def test_polynomial_payoff_rejects_non_finite_coefficients(coeffs):
+    # hermite_expand_terminal's degree-0 branch skips the quadrature's finite
+    # check, so a constant NaN must be refused here
+    with pytest.raises(ValueError, match="must be finite"):
+        mc.PolynomialPayoff(coeffs)
+
+
 def test_hermite_expand_terminal_polynomial():
     # x^2 at T=1: d_0 = 1, d_2 = sqrt(2), all else zero
     d = mc.hermite_expand_terminal(mc.PolynomialPayoff((0.0, 0.0, 1.0)), 1.0, 4)
@@ -776,39 +784,42 @@ def test_tracking_error_rejects_occupation():
         mc.tracking_error_hedge(mc.OccupationTimePayoff(), grid, batch)
 
 
+def _refined_errors(payoff, n1_list, max_degree):
+    """First-order refined error norms of a one-step expansion at s = 0, one per N1."""
+    f = mc.coeffs_terminal(payoff, GridSpec(1.0, 1), max_degree)
+    return [co.err_norm_refined(f, 1, n1, 0.0) for n1 in n1_list]
+
+
 def test_rate_sweep_quadratic():
-    report = mc.rate_sweep(
-        mc.PolynomialPayoff((0.0, 0.0, 1.0)), 1, 0.0, 1.0, [4, 8, 16, 32, 64], 1, 1.0, 4
-    )
-    assert report.fitted_slope == pytest.approx(-0.5, abs=0.05)
-    for n1, err, bound in report.rows:
+    f = mc.coeffs_terminal(mc.PolynomialPayoff((0.0, 0.0, 1.0)), GridSpec(1.0, 1), 4)
+    rows = list(co.verify_bounds(f, [1], [4, 8, 16, 32, 64], [0.0], [1.0]))
+    slope, _ = co.fit_loglog_slope([row[1] for row in rows], [row[4] for row in rows])
+    assert slope == pytest.approx(-0.5, abs=0.05)
+    for _, n1, _, _, err, bound, _, _ in rows:
         assert err <= bound * (1 + 1e-12)
 
 
 def test_rate_sweep_digital_high_degree_slope():
     # with enough Hermite terms the digital shows its slow rate, well above
     # the -1/2 seen for any fixed polynomial truncation
-    report = mc.rate_sweep(
-        mc.DigitalPayoff(0.0), 1, 0.0, 1.0, [4, 8, 16, 32, 64, 128, 256], 1, 1.0, 1000
-    )
-    assert -0.35 < report.fitted_slope < -0.15
+    n1_list = [4, 8, 16, 32, 64, 128, 256]
+    errs = _refined_errors(mc.DigitalPayoff(0.0), n1_list, 1000)
+    slope, _ = co.fit_loglog_slope(n1_list, errs)
+    assert -0.35 < slope < -0.15
 
 
 def test_rate_sweep_low_degree_payoff_empty_tail():
-    report = mc.rate_sweep(
-        mc.PolynomialPayoff((0.0, 1.0)), 1, 0.0, 1.0, [4, 8, 16], 1, 1.0, 3
-    )
-    assert math.isnan(report.fitted_slope) and report.fit_points == 0
-    for _, err, _ in report.rows:
-        assert err == 0.0
+    errs = _refined_errors(mc.PolynomialPayoff((0.0, 1.0)), [4, 8, 16], 3)
+    slope, used = co.fit_loglog_slope([4, 8, 16], errs)
+    assert math.isnan(slope) and used == 0
+    assert errs == [0.0] * 3
 
 
 def test_occupation_rate_sweep():
-    rows = mc.occupation_rate_sweep(1, [4, 8, 16, 32, 64], 1.0, 20)
-    assert [n for n, _ in rows] == [4, 8, 16, 32, 64]
-    errs = [e for _, e in rows]
+    n_list = [4, 8, 16, 32, 64]
+    errs = [mc.occupation_error_norm(GridSpec(1.0, n), 1, 20) for n in n_list]
     assert all(b < a for a, b in zip(errs, errs[1:]))
-    slope, _ = co.fit_loglog_slope([n for n, _ in rows], errs)
+    slope, _ = co.fit_loglog_slope(n_list, errs)
     assert -0.65 < slope < -0.35
 
 
