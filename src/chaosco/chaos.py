@@ -48,8 +48,8 @@ class ChaosExpansion:
 
     The zero-index coefficient is the (generalized) expectation; the squared
     L2 norm is the sum of squared coefficients.  Coefficients below 1e-14 in
-    magnitude are pruned at construction; a NaN or infinite one raises a
-    ValueError.
+    magnitude are pruned at construction; a NaN or infinite one, given or
+    merged from keys that canonicalize alike, raises a ValueError naming its index.
     """
 
     grid: GridSpec
@@ -70,10 +70,12 @@ class ChaosExpansion:
                         f"index {key} needs {len(key)} slots but grid has {self.grid.N}"
                     )
                 value = float(value)
-                if not math.isfinite(value):
-                    raise ValueError(f"coefficient of index {key} is not finite: {value!r}")
-                if abs(value) > COEFF_PRUNE:
-                    clean[key] = clean.get(key, 0.0) + value
+                # a NaN fails the prune test: refuse it, infinities and merged overflows
+                if math.isnan(value) or abs(value) > COEFF_PRUNE:
+                    value = clean.get(key, 0.0) + value
+                    if not math.isfinite(value):
+                        raise ValueError(f"coefficient of index {key} is not finite: {value!r}")
+                    clean[key] = value
         object.__setattr__(self, "coeffs", clean)
 
     def mean(self) -> float:

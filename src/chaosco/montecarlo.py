@@ -1,8 +1,9 @@
 """Payoff catalog, exact chaos coefficients, and seeded Monte Carlo experiments.
 
-Terminal payoffs f(W_T) get their one-step Hermite coefficients by quadrature
-(smooth f) or closed-form half-line integrals (digitals); the grid expansion
-is the exact refinement of the one-step one.  Path sampling uses the
+Each terminal payoff f(W_T) is one object carrying its label, its one-step
+Hermite coefficients (Gauss quadrature for polynomial and smooth f, closed-form
+half-line integrals for digitals) and its conditional delta kernel; the grid
+expansion is the exact refinement of the one-step one.  Path sampling uses the
 counter-based Philox generator in fixed-size blocks so results are bit-stable
 regardless of how many threads sample them; the estimators stream those
 blocks, slot-major, on the calling thread instead of holding every path.
@@ -49,6 +50,10 @@ class PolynomialPayoff:
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), self.coeffs)
 
     @property
+    def label(self) -> str:
+        return "poly:" + ",".join(format(c, "g") for c in self.coeffs)
+
+    @property
     def degree(self) -> int:
         nz = [k for k, c in enumerate(self.coeffs) if c != 0.0]
         return max(nz, default=0)
@@ -56,6 +61,17 @@ class PolynomialPayoff:
     def derivative(self) -> "PolynomialPayoff":
         der = np.polynomial.polynomial.polyder(np.asarray(self.coeffs, dtype=float))
         return PolynomialPayoff(tuple(der) if der.size else (0.0,))
+
+    def hermite_coeffs(self, T: float, max_degree: int) -> np.ndarray:
+        if self.degree == 0:
+            d = np.zeros(max_degree + 1)
+            d[0] = self.coeffs[0]
+            return d
+        return _gauss_coeffs(self, T, max_degree, (self.degree + max_degree) // 2 + 1)
+
+    def conditional_delta(self) -> DeltaKernel:
+        df = self.derivative()
+        return _quadrature_delta(df, df.degree // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -68,6 +84,16 @@ class SmoothPayoff:
 
     def __call__(self, x):
         return np.asarray(self.f(x), dtype=float)
+
+    @property
+    def label(self) -> str:
+        return self.name
+
+    def hermite_coeffs(self, T: float, max_degree: int) -> np.ndarray:
+        return _gauss_coeffs(self, T, max_degree, max_degree + QUAD_EXTRA_ORDER)
+
+    def conditional_delta(self) -> DeltaKernel:
+        return _quadrature_delta(self.df, 24)
 
 
 @dataclass(frozen=True)
@@ -83,50 +109,41 @@ class DigitalPayoff:
     def __call__(self, x):
         return (np.asarray(x, dtype=float) >= self.strike).astype(float)
 
+    @property
+    def label(self) -> str:
+        return f"digital:{self.strike:g}"
+
+    def hermite_coeffs(self, T: float, max_degree: int) -> np.ndarray:
+        return hermite.indicator_integrals(max_degree, self.strike / math.sqrt(T))
+
+    def conditional_delta(self) -> DeltaKernel:
+        # the exact Gaussian density on all slots at once, in place in out
+        def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
+            z = np.subtract(self.strike, w, out=out)
+            z /= sqrt_var
+            hermite.normal_pdf(z, out=z)
+            z /= sqrt_var
+
+        return delta
+
 
 @dataclass(frozen=True)
 class OccupationTimePayoff:
     """Time spent non-negative on the grid: sum_i 1_{[0,inf)}(W_{t_i}) T/N."""
 
+    label = "occupation"
 
+
+#: a terminal payoff has a label, hermite_coeffs(T, max_degree) (hermite_expand_terminal's d)
+#: and conditional_delta() -> DeltaKernel: (w, sqrt_var, out) -> out[j] = E[f'(W_T) | W_t = w[j]]
+#: at T - t = sqrt_var[j]^2; w and out are (slots, paths), sqrt_var is (slots, 1)
 TerminalPayoff = Union[PolynomialPayoff, SmoothPayoff, DigitalPayoff]
+DeltaKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 Payoff = Union[TerminalPayoff, OccupationTimePayoff]
 
 
-def payoff_label(payoff: Payoff) -> str:
-    if isinstance(payoff, PolynomialPayoff):
-        return "poly:" + ",".join(format(c, "g") for c in payoff.coeffs)
-    if isinstance(payoff, DigitalPayoff):
-        return f"digital:{payoff.strike:g}"
-    if isinstance(payoff, OccupationTimePayoff):
-        return "occupation"
-    return getattr(payoff, "name", "smooth")
-
-
-def hermite_expand_terminal(
-    f: Union[Callable, TerminalPayoff], T: float, max_degree: int
-) -> np.ndarray:
-    """One-step coefficients d_k = E[f(sqrt(T) Z) H_k(Z)], k = 0..max_degree.
-
-    Digitals use the closed-form half-line integrals with threshold K/sqrt(T);
-    everything else goes through Gauss quadrature against the normal weight,
-    its (max_degree + 1) x order Hermite table checked against physical
-    memory before the rule is built.
-    """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("horizon T must be positive and finite")
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    if isinstance(f, DigitalPayoff):
-        return hermite.indicator_integrals(max_degree, f.strike / math.sqrt(T))
-    if isinstance(f, PolynomialPayoff):
-        if f.degree == 0:
-            d = np.zeros(max_degree + 1)
-            d[0] = f.coeffs[0]
-            return d
-        order = (f.degree + max_degree) // 2 + 1
-    else:
-        order = max_degree + QUAD_EXTRA_ORDER
+def _gauss_coeffs(f: Callable, T: float, max_degree: int, order: int) -> np.ndarray:
+    """d_k on an order-point Gauss rule, its Hermite table checked against memory first."""
     _check_fits((max_degree + 1) * order * 8,
                 f"Hermite values of degrees 0..{max_degree} at {order} quadrature nodes")
     rule = hermite.gauss_hermite_rule(order)
@@ -136,6 +153,33 @@ def hermite_expand_terminal(
     if not np.all(np.isfinite(d)):
         raise ArithmeticError("non-finite quadrature result in terminal expansion")
     return d
+
+
+def _quadrature_delta(df: Callable, order: int) -> DeltaKernel:
+    """The kernel E[df(w + sqrt_var Z)], slot by slot, on an order-point Gauss rule."""
+    rule = hermite.gauss_hermite_rule(order)
+
+    def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
+        for w_slot, root, out_slot in zip(w, sqrt_var[:, 0].tolist(), out):
+            shifted = w_slot[:, None] + root * rule.nodes[None, :]
+            np.matmul(np.asarray(df(shifted)), rule.weights, out=out_slot)
+
+    return delta
+
+
+def payoff_label(payoff: Payoff) -> str:
+    return payoff.label
+
+
+def hermite_expand_terminal(f: TerminalPayoff, T: float, max_degree: int) -> np.ndarray:
+    """One-step coefficients d_k = E[f(sqrt(T) Z) H_k(Z)], k = 0..max_degree, of a payoff."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("horizon T must be positive and finite")
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    if not isinstance(f, TerminalPayoff):
+        raise TypeError(f"terminal expansion needs a terminal payoff, not {type(f).__name__}")
+    return f.hermite_coeffs(T, max_degree)
 
 
 def coeffs_terminal(
@@ -454,39 +498,6 @@ def mc_err_norm(f: ChaosExpansion, n: int, batch: PathBatch) -> McEstimate:
     return _l2_of_samples(_map_blocks([batch], [lambda xi: evaluate(tail, xi.T)])[0])
 
 
-def _conditional_delta(
-    payoff: TerminalPayoff,
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
-    """(w, sqrt_var, out) -> out[j] = E[f'(W_T) | W_t = w[j]] with T - t = sqrt_var[j]^2.
-
-    w and out are (slots, paths) and sqrt_var is (slots, 1); f' and the rule
-    are built once.  Smooth payoffs are heat-kernel smoothed by quadrature in
-    the residual variable, one slot at a time; the digital evaluates the
-    exact Gaussian density formula on all slots at once, in place in out.
-    """
-    if isinstance(payoff, DigitalPayoff):
-        def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
-            z = np.subtract(payoff.strike, w, out=out)
-            z /= sqrt_var
-            hermite.normal_pdf(z, out=z)
-            z /= sqrt_var
-
-        return delta
-    if isinstance(payoff, PolynomialPayoff):
-        df = payoff.derivative()
-        rule = hermite.gauss_hermite_rule(df.degree // 2 + 1)
-    else:
-        df = payoff.df
-        rule = hermite.gauss_hermite_rule(24)
-
-    def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
-        for w_slot, root, out_slot in zip(w, sqrt_var[:, 0].tolist(), out):
-            shifted = w_slot[:, None] + root * rule.nodes[None, :]
-            np.matmul(np.asarray(df(shifted)), rule.weights, out=out_slot)
-
-    return delta
-
-
 def tracking_error_hedge(
     payoff: TerminalPayoff, grid: GridSpec, batch: PathBatch
 ) -> McEstimate:
@@ -517,7 +528,7 @@ def tracking_error_hedges(
     """
     if isinstance(payoff, OccupationTimePayoff):
         raise TypeError("tracking-error hedging requires a terminal payoff")
-    delta = _conditional_delta(payoff)
+    delta = payoff.conditional_delta()
 
     def hedge_on(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
         sqrt_dt = math.sqrt(grid.dt)

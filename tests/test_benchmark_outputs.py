@@ -5,7 +5,9 @@ in-process at the default seed, with no ``CHAOSCO_*`` variable set, and its
 output must pass ``checks.check`` as it must in a benchmark run.
 """
 
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,20 @@ def test_benchmark_outputs_pass_their_checks(workload, tmp_path, monkeypatch):
         text = out.read_text(encoding="utf-8")
         assert checks.check(op, text, DEFAULT_SEED, outputs) == [], op.name
         outputs[op.name] = text  # what later same_as operations must reproduce
+
+
+@pytest.mark.parametrize("args", [
+    ["expand", "--payoff", "poly:0,0,1", "--N0", "2", "--max-degree", "4"],
+    ["simulate-hedge", "--payoff", "digital:0", "--N-list", "2,4", "--samples", "100"],
+])
+def test_trace_sees_terminal_expansions(args, tmp_path):
+    # coeffs_terminal and the hedge's mean reach hermite_expand_terminal through
+    # the module, where trace.py's span wraps it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CHAOSCO_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    trace = tmp_path / "trace.json"
+    subprocess.run([sys.executable, str(Path(PERFBENCH) / "trace.py"), str(trace), "cli",
+                    *args, "--out", str(tmp_path / "out.csv")], env=env, check=True)
+    spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+    assert spans["montecarlo.hermite_expand_terminal"]["calls"] >= 1

@@ -62,6 +62,12 @@ def test_expansion_rejects_non_finite_coefficient(value):
         ChaosExpansion(GridSpec(1.0, 2), {(1,): value, (2,): 1.0})
 
 
+def test_expansion_rejects_merged_overflow():
+    # two finite values whose keys canonicalize alike merge into an infinity
+    with pytest.raises(ValueError, match=r"index \(1,\) is not finite: inf"):
+        ChaosExpansion(GridSpec(1.0, 2), {(1,): 1e308, (1, 0): 1e308})
+
+
 _ENTRY = st.one_of(
     st.integers(0, 3),
     st.integers(-1, 0),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosco import chaos, clark_ocone as co, hermite, montecarlo as mc
+from chaosco import chaos, cli, clark_ocone as co, hermite, montecarlo as mc
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
 
@@ -116,6 +116,19 @@ def test_hermite_expand_terminal_rejects_bad_horizon(T):
     for payoff in (mc.DigitalPayoff(1.0), mc.PolynomialPayoff((0.0, 0.0, 1.0))):
         with pytest.raises(ValueError, match="horizon T must be positive and finite"):
             mc.hermite_expand_terminal(payoff, T, 3)
+
+
+def test_hermite_expand_terminal_rejects_non_terminal_payoffs(monkeypatch):
+    # refused by type, before any rule or half-line integral is built
+    def unreachable(*args):
+        raise AssertionError("a rule was built for a non-terminal payoff")
+
+    for name in ("gauss_hermite_rule", "eval_all", "indicator_integrals"):
+        monkeypatch.setattr(hermite, name, unreachable)
+    for payoff, name in ((np.sin, "ufunc"), (lambda x: x, "function"),
+                         (mc.OccupationTimePayoff(), "OccupationTimePayoff")):
+        with pytest.raises(TypeError, match=f"not {name}$"):
+            mc.hermite_expand_terminal(payoff, 1.0, 3)
 
 
 def test_hermite_expand_terminal_digital():
@@ -586,7 +599,7 @@ def test_digital_delta_in_place_bit_equal():
     sqrt_var = np.sqrt(np.array(variances))[:, None]
     for strike in (0.0, -0.0, 0.5, -1.5, -1e-310, -37.7, 1.5):
         out = np.empty_like(w)
-        mc._conditional_delta(mc.DigitalPayoff(strike))(w, sqrt_var, out)
+        mc.DigitalPayoff(strike).conditional_delta()(w, sqrt_var, out)
         for row, v in enumerate(variances):
             z = (strike - w[row]) / math.sqrt(v)
             want = hermite.normal_pdf(z) / math.sqrt(v)
@@ -827,6 +840,12 @@ def test_payoff_label():
     assert mc.payoff_label(mc.PolynomialPayoff((0.0, 1.0))) == "poly:0,1"
     assert mc.payoff_label(mc.DigitalPayoff(1.5)) == "digital:1.5"
     assert mc.payoff_label(mc.OccupationTimePayoff()) == "occupation"
+    assert mc.payoff_label(mc.SmoothPayoff(np.sin, np.cos)) == "smooth"
+    assert mc.payoff_label(mc.SmoothPayoff(np.sin, np.cos, "sin")) == "sin"
+    # the benchmark's payoff specs are their payoffs' labels
+    for spec in ("poly:0,0,1", "digital:0", "digital:0.5", "occupation"):
+        payoff = cli.parse_payoff(spec)
+        assert payoff.label == spec and cli.parse_payoff(payoff.label) == payoff
 
 
 def test_brownian_paths_checked_and_bit_equal(monkeypatch):
