@@ -14,10 +14,10 @@ from .clark_ocone import (
 )
 from .montecarlo import (
     DigitalPayoff,
+    ExponentialPayoff,
     OccupationTimePayoff,
     PathBatch,
     PolynomialPayoff,
-    SmoothPayoff,
     sample_paths,
 )
 
@@ -34,7 +34,7 @@ __all__ = [
     "verify_bound",
     "verify_bounds",
     "PolynomialPayoff",
-    "SmoothPayoff",
+    "ExponentialPayoff",
     "DigitalPayoff",
     "OccupationTimePayoff",
     "PathBatch",

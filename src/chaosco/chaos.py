@@ -47,35 +47,31 @@ class ChaosExpansion:
     """Finitely supported coefficient map over a grid.
 
     The zero-index coefficient is the (generalized) expectation; the squared
-    L2 norm is the sum of squared coefficients.  Coefficients below 1e-14 in
-    magnitude are pruned at construction; a NaN or infinite one, given or
-    merged from keys that canonicalize alike, raises a ValueError naming its index.
+    L2 norm is the sum of squared coefficients.  The values of keys that
+    canonicalize alike are summed, and sums below 1e-14 in magnitude pruned;
+    a NaN or infinite sum raises a ValueError naming its index.
     """
 
     grid: GridSpec
     coeffs: Mapping[MultiIndex, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if type(self.coeffs) is _CanonicalCoeffs:
-            # distinct canonical keys: nothing to trim or merge
-            values = map(float, self.coeffs.values())
-            clean = {key: value for key, value in zip(self.coeffs, values)
-                     if abs(value) > COEFF_PRUNE}
-        else:
-            clean = {}
+        merged = self.coeffs
+        if type(merged) is not _CanonicalCoeffs:
+            # sum the values of keys that canonicalize alike; refuse a non-finite sum
+            merged = {}
             for key, value in self.coeffs.items():
                 key = mi.canonical(key)
                 if len(key) > self.grid.N:
                     raise ValueError(
                         f"index {key} needs {len(key)} slots but grid has {self.grid.N}"
                     )
-                value = float(value)
-                # a NaN fails the prune test: refuse it, infinities and merged overflows
-                if math.isnan(value) or abs(value) > COEFF_PRUNE:
-                    value = clean.get(key, 0.0) + value
-                    if not math.isfinite(value):
-                        raise ValueError(f"coefficient of index {key} is not finite: {value!r}")
-                    clean[key] = value
+                value = merged[key] = merged.get(key, 0.0) + float(value)
+                if not math.isfinite(value):
+                    raise ValueError(f"coefficient of index {key} is not finite: {value!r}")
+        # distinct canonical keys: each sum is pruned
+        values = map(float, merged.values())
+        clean = {key: value for key, value in zip(merged, values) if abs(value) > COEFF_PRUNE}
         object.__setattr__(self, "coeffs", clean)
 
     def mean(self) -> float:

@@ -62,8 +62,6 @@ def parse_payoff(text: str):
             coeffs = tuple(float(x) for x in text[len("poly:") :].split(","))
         except ValueError as exc:
             raise ConfigError(f"bad polynomial coefficients in {text!r}") from exc
-        if not coeffs:
-            raise ConfigError("polynomial payoff needs at least one coefficient")
         if not all(map(math.isfinite, coeffs)):
             raise ConfigError(f"polynomial coefficients must be finite in {text!r}")
         return PolynomialPayoff(coeffs)

@@ -1,12 +1,13 @@
 """Payoff catalog, exact chaos coefficients, and seeded Monte Carlo experiments.
 
-Each terminal payoff f(W_T) is one object carrying its label, its one-step
-Hermite coefficients (Gauss quadrature for polynomial and smooth f, closed-form
-half-line integrals for digitals) and its conditional delta kernel; the grid
-expansion is the exact refinement of the one-step one.  Path sampling uses the
-counter-based Philox generator in fixed-size blocks so results are bit-stable
-regardless of how many threads sample them; the estimators stream those
-blocks, slot-major, on the calling thread instead of holding every path.
+Each terminal payoff f(W_T), polynomial, exponential or digital, is one
+object carrying its label, its one-step Hermite coefficients (Gauss quadrature
+for polynomials, where it is exact; closed forms for exponentials and digitals)
+and its conditional delta kernel; the grid expansion is the exact refinement
+of the one-step one.  Path sampling uses the counter-based Philox generator in
+fixed-size blocks so results are bit-stable regardless of how many threads
+sample them; the estimators stream those blocks, slot-major, on the calling
+thread instead of holding every path.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ SAMPLE_BLOCK = 4096
 TRANSPOSE_ROWS = 64
 #: hedge slots evaluated per numpy call, into (HEDGE_CHUNK, rows) buffers
 HEDGE_CHUNK = 4
-#: quadrature margin beyond polynomial exactness for smooth integrands
-QUAD_EXTRA_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,8 @@ class PolynomialPayoff:
     coeffs: Tuple[float, ...]
 
     def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("polynomial payoff needs at least one coefficient")
         if not all(map(math.isfinite, self.coeffs)):
             raise ValueError("polynomial coefficients must be finite")
 
@@ -64,36 +65,65 @@ class PolynomialPayoff:
 
     def hermite_coeffs(self, T: float, max_degree: int) -> np.ndarray:
         if self.degree == 0:
-            d = np.zeros(max_degree + 1)
-            d[0] = self.coeffs[0]
-            return d
-        return _gauss_coeffs(self, T, max_degree, (self.degree + max_degree) // 2 + 1)
+            return np.append(float(self.coeffs[0]), np.zeros(max_degree))
+        # the fewest Gauss nodes exact for f H_max_degree; the table is checked first
+        order = (self.degree + max_degree) // 2 + 1
+        _check_fits((max_degree + 1) * order * 8,
+                    f"Hermite values of degrees 0..{max_degree} at {order} quadrature nodes")
+        rule = hermite.gauss_hermite_rule(order)
+        values = self(math.sqrt(T) * rule.nodes)
+        d = hermite.eval_all(max_degree, rule.nodes) @ (rule.weights * values)
+        if not np.all(np.isfinite(d)):
+            raise ArithmeticError("non-finite quadrature result in terminal expansion")
+        return d
 
     def conditional_delta(self) -> DeltaKernel:
+        # E[f'(w + sqrt_var Z)] slot by slot, on the fewest Gauss nodes exact for f'
         df = self.derivative()
-        return _quadrature_delta(df, df.degree // 2 + 1)
+        rule = hermite.gauss_hermite_rule(df.degree // 2 + 1)
+
+        def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
+            for w_slot, root, out_slot in zip(w, sqrt_var[:, 0].tolist(), out):
+                shifted = w_slot[:, None] + root * rule.nodes[None, :]
+                np.matmul(df(shifted), rule.weights, out=out_slot)
+
+        return delta
 
 
 @dataclass(frozen=True)
-class SmoothPayoff:
-    """Smooth terminal payoff with an explicit first derivative."""
+class ExponentialPayoff:
+    """f(W_T) = Re(c e^{beta W_T}), c and beta complex: e^{aW}, sin(bW), cos(bW), ...
 
-    f: Callable
-    df: Callable
-    name: str = "smooth"
+    d_m = Re(c e^{beta^2 T/2} (beta sqrt(T))^m / sqrt(m!)) as a running product,
+    and E[f'(w + s Z)] = Re(c beta e^{beta w + beta^2 s^2/2}).  Exact to rounding
+    while e^{beta^2 T/2} is a normal float; a non-finite d_m (or c, beta) is refused.
+    """
+
+    c: complex
+    beta: complex
 
     def __call__(self, x):
-        return np.asarray(self.f(x), dtype=float)
+        return (self.c * np.exp(self.beta * np.asarray(x, dtype=float))).real
 
     @property
     def label(self) -> str:
-        return self.name
+        return f"Re(({self.c:g})*exp(({self.beta:g})*x))"
 
     def hermite_coeffs(self, T: float, max_degree: int) -> np.ndarray:
-        return _gauss_coeffs(self, T, max_degree, max_degree + QUAD_EXTRA_ORDER)
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = self.beta * np.sqrt(T / np.arange(1.0, max_degree + 1))
+            d = np.cumprod(np.append(self.c * np.exp(self.beta**2 * T / 2), steps)).real
+        if not np.all(np.isfinite(d)):
+            raise ArithmeticError("non-finite closed form in terminal expansion")
+        return d
 
     def conditional_delta(self) -> DeltaKernel:
-        return _quadrature_delta(self.df, 24)
+        def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
+            z = np.multiply(w, self.beta)
+            z += self.beta**2 / 2 * np.square(sqrt_var)
+            np.copyto(out, (self.c * self.beta * np.exp(z, out=z)).real)
+
+        return delta
 
 
 @dataclass(frozen=True)
@@ -137,34 +167,9 @@ class OccupationTimePayoff:
 #: a terminal payoff has a label, hermite_coeffs(T, max_degree) (hermite_expand_terminal's d)
 #: and conditional_delta() -> DeltaKernel: (w, sqrt_var, out) -> out[j] = E[f'(W_T) | W_t = w[j]]
 #: at T - t = sqrt_var[j]^2; w and out are (slots, paths), sqrt_var is (slots, 1)
-TerminalPayoff = Union[PolynomialPayoff, SmoothPayoff, DigitalPayoff]
+TerminalPayoff = Union[PolynomialPayoff, ExponentialPayoff, DigitalPayoff]
 DeltaKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 Payoff = Union[TerminalPayoff, OccupationTimePayoff]
-
-
-def _gauss_coeffs(f: Callable, T: float, max_degree: int, order: int) -> np.ndarray:
-    """d_k on an order-point Gauss rule, its Hermite table checked against memory first."""
-    _check_fits((max_degree + 1) * order * 8,
-                f"Hermite values of degrees 0..{max_degree} at {order} quadrature nodes")
-    rule = hermite.gauss_hermite_rule(order)
-    values = np.asarray(f(math.sqrt(T) * rule.nodes), dtype=float)
-    table = hermite.eval_all(max_degree, rule.nodes)
-    d = table @ (rule.weights * values)
-    if not np.all(np.isfinite(d)):
-        raise ArithmeticError("non-finite quadrature result in terminal expansion")
-    return d
-
-
-def _quadrature_delta(df: Callable, order: int) -> DeltaKernel:
-    """The kernel E[df(w + sqrt_var Z)], slot by slot, on an order-point Gauss rule."""
-    rule = hermite.gauss_hermite_rule(order)
-
-    def delta(w: np.ndarray, sqrt_var: np.ndarray, out: np.ndarray) -> None:
-        for w_slot, root, out_slot in zip(w, sqrt_var[:, 0].tolist(), out):
-            shifted = w_slot[:, None] + root * rule.nodes[None, :]
-            np.matmul(np.asarray(df(shifted)), rule.weights, out=out_slot)
-
-    return delta
 
 
 def payoff_label(payoff: Payoff) -> str:

@@ -14,7 +14,8 @@ they are independent routes to quantities chaosco computes another way:
 - pathwise evaluation of an expansion and of its decomposition, one whole
   batch per term;
 - the interpolated tail-mass bound, the constant expansion and the
-  expansion CSV reader.
+  expansion CSV reader;
+- the closed-form first-order delta-hedge error of sin(W_T).
 """
 
 from __future__ import annotations
@@ -320,3 +321,20 @@ def tail_mass_bound(a: MultiIndex, n: int, n1: int, r: float) -> float:
     _check_interpolation(r)
     _check_orders(n, n1)
     return math.exp(r * (n * math.log(sum(a)) - _log_denominator(n, n1)))
+
+
+# ---------------------------------------------------------------------------
+# Hedging
+
+
+def sine_hedge_error(grid: GridSpec) -> float:
+    """Exact L2 norm of sin(W_T)'s first-order delta-hedge error on grid.
+
+    The delta at t_{ell-1} is cos(W_{t_{ell-1}}) e^{-(T - t_{ell-1})/2}, so
+    ||Err_1||^2 = Var sin(W_T) - sum_ell dt E[delta_ell^2]
+               = (1 - e^{-2T})/2 - sum_ell dt e^{-(T - t_{ell-1})} (1 + e^{-2 t_{ell-1}})/2.
+    """
+    T, dt = grid.T, grid.dt
+    hedged = math.fsum(dt * math.exp(-(T - t)) * (1.0 + math.exp(-2.0 * t)) / 2.0
+                       for t in (ell * dt for ell in range(grid.N)))
+    return math.sqrt((1.0 - math.exp(-2.0 * T)) / 2.0 - hedged)

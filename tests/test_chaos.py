@@ -21,16 +21,14 @@ PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=N
 
 
 def _construct_reference(grid, coeffs):
-    """The canonicalize-and-merge loop every key used to go through."""
-    clean = {}
+    """The canonicalize-and-merge loop every key goes through, then the prune of each sum."""
+    merged = {}
     for key, value in coeffs.items():
         key = mi.canonical(key)
         if len(key) > grid.N:
             raise ValueError(f"index {key} needs {len(key)} slots but grid has {grid.N}")
-        value = float(value)
-        if abs(value) > chaos.COEFF_PRUNE:
-            clean[key] = clean.get(key, 0.0) + value
-    return clean
+        merged[key] = merged.get(key, 0.0) + float(value)
+    return {key: value for key, value in merged.items() if abs(value) > chaos.COEFF_PRUNE}
 
 
 def test_gridspec_validation():
@@ -60,6 +58,16 @@ def test_expansion_rejects_non_finite_coefficient(value):
     # infinity: neither may pass as a pruned or a kept coefficient
     with pytest.raises(ValueError, match="not finite"):
         ChaosExpansion(GridSpec(1.0, 2), {(1,): value, (2,): 1.0})
+
+
+def test_expansion_prunes_merged_sums():
+    # keys that canonicalize alike are summed first: a sum that cancels is
+    # pruned, and two values below the threshold may sum above it
+    g = GridSpec(1.0, 2)
+    assert ChaosExpansion(g, {(1,): 1.0, (1, 0): -1.0}).coeffs == {}
+    assert ChaosExpansion(g, {(1,): 0.9e-14, (1, 0): 0.9e-14}).coeffs == {(1,): 1.8e-14}
+    assert ChaosExpansion(g, {(1,): 1e-15, (2,): 1.0, (1, 0): 1.0}).coeffs == {
+        (1,): 1.0 + 1e-15, (2,): 1.0}
 
 
 def test_expansion_rejects_merged_overflow():

@@ -39,7 +39,7 @@ def test_parse_payoff():
     assert cli.parse_payoff("poly:1,0,2") == PolynomialPayoff((1.0, 0.0, 2.0))
     assert cli.parse_payoff("digital:1.5") == DigitalPayoff(1.5)
     assert isinstance(cli.parse_payoff("occupation"), OccupationTimePayoff)
-    for bad in ("poly:a,b", "digital:x", "gamma:1"):
+    for bad in ("poly:a,b", "poly:", "digital:x", "gamma:1"):
         with pytest.raises(cli.ConfigError):
             cli.parse_payoff(bad)
 

@@ -1,14 +1,21 @@
+import cmath
+import decimal
 import math
+import re
 import sys
 import threading
 import tracemalloc
+import typing
+import warnings
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chaosco
 from chaosco import chaos, cli, clark_ocone as co, hermite, montecarlo as mc
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
@@ -48,13 +55,22 @@ def test_hermite_expand_terminal_polynomial():
     assert d4[2] == pytest.approx(4.0 * math.sqrt(2), abs=1e-12)
 
 
-def test_smooth_payoff_call():
-    payoff = mc.SmoothPayoff(np.sin, np.cos, "sin")
+def test_exponential_payoff_call():
+    # Re(c e^{beta x}) with c = -i, beta = i is sin and with c = 1, beta = i is cos,
+    # to the bit; a real beta gives e^{beta x}
     xs = np.linspace(-2.0, 2.0, 9)
-    assert payoff(xs).tobytes() == np.asarray(np.sin(xs), dtype=float).tobytes()
-    # an integer-valued f still gives floats
-    step = mc.SmoothPayoff(lambda x: np.asarray(x) > 0, np.zeros_like)
-    assert payoff(0.5) == math.sin(0.5) and step(xs).dtype == float
+    sine, cosine = mc.ExponentialPayoff(-1j, 1j), mc.ExponentialPayoff(1, 1j)
+    assert sine(xs).tobytes() == np.sin(xs).tobytes()
+    assert cosine(xs).tobytes() == np.cos(xs).tobytes()
+    assert sine(0.5) == math.sin(0.5) and sine(xs).dtype == float
+    np.testing.assert_allclose(mc.ExponentialPayoff(2.0, -0.5)(xs), 2.0 * np.exp(-0.5 * xs),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_polynomial_payoff_rejects_empty_coefficients():
+    # refused at construction, not by an IndexError in the degree-0 shortcut
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        mc.PolynomialPayoff(())
 
 
 def test_digital_payoff_rejects_nan_strike():
@@ -153,12 +169,74 @@ def test_hermite_expand_terminal_digital_matches_per_order_integrals(strike):
     ]
 
 
-def test_hermite_expand_terminal_smooth_matches_polynomial():
-    poly = mc.PolynomialPayoff((1.0, -2.0, 0.0, 0.5))
-    smooth = mc.SmoothPayoff(poly, poly.derivative(), name="cubic")
-    dp = mc.hermite_expand_terminal(poly, 2.0, 6)
-    ds = mc.hermite_expand_terminal(smooth, 2.0, 6)
-    assert np.allclose(dp, ds, atol=1e-12)
+@pytest.mark.parametrize("T", [1.0, 256.0])
+def test_exponential_sine_coeffs_match_closed_form(T):
+    # sin(W_T): d_m = e^{-T/2} (-1)^{(m-1)/2} T^{m/2} / sqrt(m!) for odd m and 0
+    # for even m, in 40-digit decimals.  At T = 256 every d_m, m <= 1000, is a
+    # normal float; at T = 1 those below the normal range underflow with it.
+    d = mc.hermite_expand_terminal(mc.ExponentialPayoff(-1j, 1j), T, 1000)
+    assert not d[0::2].any()
+    smallest = decimal.Decimal(sys.float_info.min)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        scale, root = (decimal.Decimal(-T) / 2).exp(), decimal.Decimal(T).sqrt()
+        for m in range(1, 1001, 2):
+            want = (-1) ** ((m - 1) // 2) * scale * root**m
+            want /= decimal.Decimal(math.factorial(m)).sqrt()
+            if abs(want) >= smallest:
+                assert abs(decimal.Decimal(d[m]) - want) <= abs(want) * decimal.Decimal("1e-14")
+            else:
+                assert abs(d[m]) < sys.float_info.min
+    if T == 256.0:
+        assert abs(d[999]) > sys.float_info.min
+
+
+# (c, beta, T): every |c e^{beta^2 T/2} (beta sqrt T)^m / sqrt(m!)|, m <= 1000,
+# is a normal float, and beta^2 T / 2 is exact in binary
+_EXPONENTIAL_CASES = [
+    (1.0, 16.0, 1.5), (2 + 0.5j, -16.0, 1.5),  # real beta
+    (-1j, 1j, 256.0), (1.0, 1j, 256.0), (2 + 0.5j, -16j, 1.5),  # imaginary beta
+    (0.3 - 1j, 12 + 9j, 1.5), (-1.5 + 0.25j, -3 + 4j, 10.0),  # general complex beta
+]
+
+
+@pytest.mark.parametrize("c, beta, T", _EXPONENTIAL_CASES)
+def test_exponential_coeffs_match_mpmath(c, beta, T):
+    # against c e^{beta^2 T/2} (beta sqrt T)^m / sqrt(m!) at 40 digits; the real
+    # part of a general complex term can cancel, so its error is bounded
+    # against the whole term's modulus
+    mpmath = pytest.importorskip("mpmath")
+    d = mc.hermite_expand_terminal(mc.ExponentialPayoff(c, beta), T, 1000)
+    with mpmath.workdps(40):
+        b, t = mpmath.mpc(beta), mpmath.mpf(T)
+        first = mpmath.mpc(c) * mpmath.exp(b * b * t / 2)
+        for m in range(1001):
+            term = first * (b * mpmath.sqrt(t)) ** m / mpmath.sqrt(mpmath.factorial(m))
+            assert abs(term) > sys.float_info.min
+            scale = abs(term) if complex(beta).real and complex(beta).imag else abs(term.real)
+            assert abs(d[m] - term.real) <= 1e-14 * scale, m
+
+
+@pytest.mark.parametrize("c, beta, T", [(-1j, 1j, 1.0), (1.0, 1j, 2.0), (1.0, 0.5, 1.0),
+                                        (0.3 - 1j, 0.4 + 0.9j, 1.7), (2.0, -1.0, 3.0)])
+def test_exponential_coeffs_sum_to_second_moment(c, beta, T):
+    # sum d_m^2 = E[Re(c e^{beta W_T})^2] = (|c|^2 e^{2 Re(beta)^2 T} + Re(c^2 e^{2 beta^2 T}))/2
+    d = mc.hermite_expand_terminal(mc.ExponentialPayoff(c, beta), T, 300)
+    beta = complex(beta)
+    second_moment = (abs(c) ** 2 * math.exp(2 * beta.real**2 * T)
+                     + (c * c * cmath.exp(2 * beta * beta * T)).real) / 2
+    assert math.fsum(d * d) == pytest.approx(second_moment, rel=2e-15)
+
+
+@pytest.mark.parametrize("c, beta", [(math.nan, 1j), (1.0, math.inf), (math.inf, 0.0),
+                                     (1.0, complex(0.0, math.nan)), (1.0, 30.0)])
+def test_exponential_coeffs_refuse_non_finite_without_warning(c, beta):
+    # a non-finite c or beta, and an e^{beta^2 T/2} that overflows (beta^2 T/2 =
+    # 900 at T = 2), raise ArithmeticError with no numpy warning escaping
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="non-finite closed form"):
+            mc.hermite_expand_terminal(mc.ExponentialPayoff(c, beta), 2.0, 4)
 
 
 def test_coeffs_terminal_square_two_steps():
@@ -262,7 +340,8 @@ _BUILDER_PAYOFFS = st.sampled_from([
     mc.DigitalPayoff(0.0),
     mc.DigitalPayoff(-0.7),
     mc.PolynomialPayoff((1.0, -2.0, 0.0, 0.5, 0.25)),
-    mc.SmoothPayoff(np.cos, lambda x: -np.sin(x), "cos"),
+    mc.ExponentialPayoff(-1j, 1j),
+    mc.ExponentialPayoff(1, 1j),
 ])
 
 
@@ -462,12 +541,13 @@ def _delta_reference(payoff, w, residual_var):
     if isinstance(payoff, mc.DigitalPayoff):
         z = (payoff.strike - w) / math.sqrt(residual_var)
         return hermite.normal_pdf(z) / math.sqrt(residual_var)
-    if isinstance(payoff, mc.PolynomialPayoff):
-        df = payoff.derivative()
-        rule = hermite.gauss_hermite_rule(df.degree // 2 + 1)
-    else:
-        df = payoff.df
-        rule = hermite.gauss_hermite_rule(24)
+    if isinstance(payoff, mc.ExponentialPayoff):
+        # Re(c beta e^{beta w + beta^2 s^2/2}) with s = sqrt(residual_var)
+        root = math.sqrt(residual_var)
+        z = np.exp(np.multiply(w, payoff.beta) + payoff.beta**2 / 2 * (root * root))
+        return (payoff.c * payoff.beta * z).real
+    df = payoff.derivative()
+    rule = hermite.gauss_hermite_rule(df.degree // 2 + 1)
     shifted = w[:, None] + math.sqrt(residual_var) * rule.nodes[None, :]
     return np.asarray(df(shifted)) @ rule.weights
 
@@ -498,7 +578,8 @@ STREAMED_PAYOFFS = (
     mc.DigitalPayoff(0.0),
     mc.DigitalPayoff(0.5),
     mc.PolynomialPayoff((0.0, 0.0, 1.0)),
-    mc.SmoothPayoff(np.sin, np.cos, "sin"),
+    mc.ExponentialPayoff(-1j, 1j),
+    mc.ExponentialPayoff(1, 1j),
 )
 
 
@@ -586,6 +667,33 @@ def test_streamed_remainders_bit_equal(monkeypatch):
                 assert mc.mc_err_norm(f, 1, batch).tobytes() == want.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_sine_hedge_matches_closed_form_error():
+    # Gobet & Temam's check, on a smooth payoff: the streamed hedge of sin(W_1)
+    # lies within 4 SE of its exact first-order error
+    batches = [mc.sample_paths(GridSpec(1.0, n), 200_000, seed=7) for n in (4, 16)]
+    hedges = mc.tracking_error_hedges(mc.ExponentialPayoff(-1j, 1j), batches)
+    for batch, hedge in zip(batches, hedges):
+        exact = oracles.sine_hedge_error(batch.grid)
+        assert abs(hedge.estimate - exact) <= 4 * hedge.std_error, (batch.grid.N, hedge, exact)
+
+
+def test_terminal_payoff_protocol():
+    # every terminal payoff carries the protocol, every exported name imports,
+    # and no isinstance dispatch on a terminal payoff class is left in the package
+    classes = typing.get_args(mc.TerminalPayoff)
+    for cls in classes:
+        for name in ("label", "hermite_coeffs", "conditional_delta"):
+            assert hasattr(cls, name), (cls.__name__, name)
+    exported = {}
+    exec("from chaosco import *", exported)
+    assert set(chaosco.__all__) <= set(exported)
+    names = "|".join(cls.__name__ for cls in classes)
+    dispatch = re.compile(rf"isinstance\(.*\b({names})\b")
+    for path in sorted(Path(mc.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert not dispatch.search(line), f"{path.name}:{number}: {line.strip()}"
 
 
 def test_digital_delta_in_place_bit_equal():
@@ -840,8 +948,8 @@ def test_payoff_label():
     assert mc.payoff_label(mc.PolynomialPayoff((0.0, 1.0))) == "poly:0,1"
     assert mc.payoff_label(mc.DigitalPayoff(1.5)) == "digital:1.5"
     assert mc.payoff_label(mc.OccupationTimePayoff()) == "occupation"
-    assert mc.payoff_label(mc.SmoothPayoff(np.sin, np.cos)) == "smooth"
-    assert mc.payoff_label(mc.SmoothPayoff(np.sin, np.cos, "sin")) == "sin"
+    assert mc.payoff_label(mc.ExponentialPayoff(-1j, 1j)) == "Re((-0-1j)*exp((0+1j)*x))"
+    assert mc.payoff_label(mc.ExponentialPayoff(1.0, 0.5)) == "Re((1)*exp((0.5)*x))"
     # the benchmark's payoff specs are their payoffs' labels
     for spec in ("poly:0,0,1", "digital:0", "digital:0.5", "occupation"):
         payoff = cli.parse_payoff(spec)
