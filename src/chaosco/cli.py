@@ -6,10 +6,10 @@ Parameter precedence is flag > environment (CHAOSCO_<NAME>) > config file
 "#"-prefixed header lines into every output file, which is written via a
 temporary file and an atomic rename so partial outputs never appear.
 
-Exit codes: 0 success, 1 numerical failure (or failed bound rows), 2 invalid
-configuration, including an index set too large to build or an array sized
-by the input, such as Monte Carlo results or a Gauss rule, too large for
-physical memory.
+Exit codes: 0 success, 1 numerical failure, a numpy overflow or invalid value
+included (or failed bound rows), 2 invalid configuration, including an index
+set too large to build or an array sized by the input, such as Monte Carlo
+results or a Gauss rule, too large for physical memory.
 """
 
 from __future__ import annotations
@@ -420,11 +420,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](resolve_config(args.command, args))
+        with np.errstate(over="raise", invalid="raise"):
+            return _HANDLERS[args.command](resolve_config(args.command, args))
     except (ConfigError, mi.IndexSetTooLarge, mi.PathBatchTooLarge) as exc:
         print(f"chaosco: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ArithmeticError, ValueError, FloatingPointError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"chaosco: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -3,11 +3,11 @@
 Each terminal payoff f(W_T), polynomial, exponential or digital, is one
 object carrying its label, its one-step Hermite coefficients (Gauss quadrature
 for polynomials, where it is exact; closed forms for exponentials and digitals)
-and its conditional delta kernel; the grid expansion is the exact refinement
-of the one-step one.  Path sampling uses the counter-based Philox generator in
-fixed-size blocks so results are bit-stable regardless of how many threads
-sample them; the estimators stream those blocks, slot-major, on the calling
-thread instead of holding every path.
+and its conditional delta kernel; one builder makes its grid expansion and the
+occupation time's from per-degree leads and per-slot weights.  Path sampling
+uses the counter-based Philox generator in fixed-size blocks so results are
+bit-stable regardless of how many threads sample them; the estimators stream
+those blocks, slot-major, on the calling thread instead of holding every path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,9 +94,10 @@ class PolynomialPayoff:
 class ExponentialPayoff:
     """f(W_T) = Re(c e^{beta W_T}), c and beta complex: e^{aW}, sin(bW), cos(bW), ...
 
-    d_m = Re(c e^{beta^2 T/2} (beta sqrt(T))^m / sqrt(m!)) as a running product,
-    and E[f'(w + s Z)] = Re(c beta e^{beta w + beta^2 s^2/2}).  Exact to rounding
-    while e^{beta^2 T/2} is a normal float; a non-finite d_m (or c, beta) is refused.
+    d_m = Re(c e^{beta^2 T/2} (beta sqrt(T))^m / sqrt(m!)) as a running product
+    whose binary exponent is carried apart, exact to rounding even where
+    e^{beta^2 T/2} is not a normal float, and E[f'(w + s Z)] =
+    Re(c beta e^{beta w + beta^2 s^2/2}).  A non-finite d_m (or c, beta) is refused.
     """
 
     c: complex
@@ -111,8 +112,18 @@ class ExponentialPayoff:
 
     def hermite_coeffs(self, T: float, max_degree: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
+            half = self.beta**2 * T / 2
+            # e^half below 2^-1022 is e^{half - lost ln 2} 2^lost, reduced exactly by
+            # ln 2's high 32 bits and then by the rest (Cody & Waite), |reduced| <= ln2/2
+            lost = np.round(half.real / math.log(2)) if half.real / math.log(2) < -1022 else 0.0
+            reduced = half - lost * 0.6931471803691238 - lost * 1.9082149292705877e-10
             steps = self.beta * np.sqrt(T / np.arange(1.0, max_degree + 1))
-            d = np.cumprod(np.append(self.c * np.exp(self.beta**2 * T / 2), steps)).real
+            terms = np.append(self.c * np.exp(reduced), steps)
+            exponents = np.rint(np.cumsum(np.log2(np.abs(terms) + np.finfo(float).tiny)))
+            # each term times 2^{-(its rise in the running exponent)}, exactly: the
+            # product stays near modulus 1, bit-equal to the plain one where that is normal
+            product = np.cumprod(terms * np.exp2(-np.diff(exponents, prepend=0.0)))
+            d = np.ldexp(product.real, (exponents + lost).astype(int))
         if not np.all(np.isfinite(d)):
             raise ArithmeticError("non-finite closed form in terminal expansion")
         return d
@@ -192,37 +203,12 @@ def coeffs_terminal(
 ) -> ChaosExpansion:
     """Grid expansion of f(W_T): exact refinement of the one-step coefficients.
 
-    c_{a'} = d_{|a'|} sqrt(|a'|!/a'!) N^{-|a'|/2} over all indexes of degree
-    up to max_degree.  The index set is checked before anything is computed.
+    c_{a'} = d_{|a'|} sqrt(|a'|!/a'!) N^{-|a'|/2} (weight 1) over all indexes of
+    degree up to max_degree.  The index set is checked before anything is computed.
     """
     mi.check_upto_size(grid.N, max_degree)
     d = hermite_expand_terminal(payoff, grid.T, max_degree)
-    log_factorials = mi.log_factorial_table(max_degree)
-    log_n = math.log(grid.N)
-    coeffs = _CanonicalCoeffs()
-    for m, keys, table in _degree_tables(grid.N, max_degree):
-        if abs(d[m]) <= 0.0:
-            continue
-        dm = float(d[m])
-        log_ratio = 0.5 * (log_factorials[m] - mi.log_factorial_rows(table, log_factorials))
-        log_ratio -= 0.5 * m * log_n
-        coeffs.update(zip(keys, [dm * math.exp(x) for x in log_ratio.tolist()]))
-    return ChaosExpansion(grid, coeffs)
-
-
-def _degree_tables(dimension: int, max_degree: int):
-    """(m, keys of degree m, composition_table(m, dimension)) for m = 0..max_degree.
-
-    The keys are the stream of ``mi.enumerate_upto`` cut at each degree, in
-    the table's row order; those a caller leaves unread are consumed before
-    the next degree.
-    """
-    stream = mi.enumerate_upto(dimension, max_degree)
-    for m in range(max_degree + 1):
-        table = mi.composition_table(m, dimension)
-        keys = itertools.islice(stream, len(table))
-        yield m, keys, table
-        next(itertools.islice(keys, len(table), len(table)), None)
+    return _grid_expansion(grid, d, -0.5 * np.arange(max_degree + 1) * math.log(grid.N))
 
 
 def coeffs_occupation_time(grid: GridSpec, max_degree: int) -> ChaosExpansion:
@@ -230,64 +216,76 @@ def coeffs_occupation_time(grid: GridSpec, max_degree: int) -> ChaosExpansion:
 
     Each time step contributes a digital at horizon t_i expanded on the first
     i slots; the coefficient at a' is (T/N) d_{|a'|} sqrt(|a'|!/a'!) times
-    sum over i >= last slot of a' of i^{-|a'|/2}.  The index set is checked
-    before anything is computed.
+    the weight sum over i >= last slot of a' of i^{-|a'|/2}, and the mean is
+    T/2.  The index set is checked before anything is computed, and bounds
+    the (max_degree + 1) * N weights to 8 times its table.
     """
     mi.check_upto_size(grid.N, max_degree)
     d = hermite_expand_terminal(DigitalPayoff(0.0), 1.0, max_degree)
-    tail_sums = _inverse_power_tail_sums(grid.N, max_degree)
-    log_factorials = mi.log_factorial_table(max_degree)
-    coeffs = _CanonicalCoeffs({(): grid.T / 2.0})
-    for m, keys, table in _degree_tables(grid.N, max_degree):
-        if m == 0 or d[m] == 0.0:
-            continue
-        scale = grid.dt * float(d[m])
-        log_ratio = 0.5 * (log_factorials[m] - mi.log_factorial_rows(table, log_factorials))
-        # the last slot ell of each key picks its tail sum
-        tails = tail_sums[m][mi.row_lengths(table) - 1]
-        coeffs.update(zip(keys, [scale * math.exp(x) * t
-                                 for x, t in zip(log_ratio.tolist(), tails.tolist())]))
-    return ChaosExpansion(grid, coeffs)
+    i = np.arange(1, grid.N + 1, dtype=float)
+    tail_sums = [np.cumsum((i ** (-m / 2.0))[::-1])[::-1] for m in range(max_degree + 1)]
+    lead = np.append(grid.T / 2.0, grid.dt * d[1:])
+    return _grid_expansion(grid, lead, np.zeros(max_degree + 1), tail_sums)
 
 
-def _inverse_power_tail_sums(n: int, max_degree: int) -> Dict[int, np.ndarray]:
-    """tail_sums[m][l-1] = sum_{i=l}^{n} i^{-m/2} for m = 1..max_degree.
+def _grid_expansion(
+    grid: GridSpec, lead: np.ndarray, shift: np.ndarray, weight=None
+) -> ChaosExpansion:
+    """c_a = lead[m] exp((log m! - log a!)/2 + shift[m]) weight[m][ell - 1] on grid.
 
-    Its size, with i and one row of powers, is checked before allocating.
+    For each index a of degree m = 0..len(lead) - 1 and last slot ell, in the
+    order of one ``mi.enumerate_upto`` stream, a degree at a time from its
+    composition table.  The zero index, and every index if weight is None,
+    has weight 1.  A degree whose lead is 0 adds no key; its keys are skipped.
     """
-    _check_fits((max_degree + 2) * n * 8, f"tail sums of degree {max_degree} on {n} slots")
-    i = np.arange(1, n + 1, dtype=float)
-    out = {}
-    for m in range(1, max_degree + 1):
-        powers = i ** (-m / 2.0)
-        out[m] = np.cumsum(powers[::-1])[::-1]
-    return out
+    log_factorials = mi.log_factorial_table(len(lead) - 1)
+    coeffs = _CanonicalCoeffs()
+    stream = mi.enumerate_upto(grid.N, len(lead) - 1)
+    for m, lead_m in enumerate(lead.tolist()):
+        table = mi.composition_table(m, grid.N)
+        keys = itertools.islice(stream, len(table))
+        if abs(lead_m) <= 0.0:
+            next(itertools.islice(keys, len(table), len(table)), None)
+            continue
+        log_ratio = 0.5 * (log_factorials[m] - mi.log_factorial_rows(table, log_factorials))
+        log_ratio += shift[m]
+        values = [lead_m * math.exp(x) for x in log_ratio.tolist()]
+        if m and weight is not None:
+            # the last slot ell of each key picks its weight
+            weights = weight[m][mi.row_lengths(table) - 1].tolist()
+            values = [v * w for v, w in zip(values, weights)]
+        coeffs.update(zip(keys, values))
+    return ChaosExpansion(grid, coeffs)
 
 
 def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
     """Order-n error norm of the truncated occupation-time expansion.
 
     Sums squared coefficients with last entry above n without materializing
-    the index set: for degree m and last slot l the coefficients with last
-    entry k share the factor C(m,k) (l-1)^{m-k} after the m!/a'! reduction.
+    the index set: for degree m and last slot ell, those with last entry k
+    share C(m,k) (ell-1)^{m-k} tail_m[ell]^2 after the m!/a'! reduction, and
+    summed over k > n that is V_m[ell]^2 P(Bin(m, 1/ell) > n), with
+    V_m[ell] = sum_{i >= ell} (ell/i)^{m/2} in [1, N].  Every factor is
+    positive and bounded, so none overflows while C(m-1, n) is a float.
     """
     if n < 1:
         raise ValueError("error order n must be >= 1")
-    # the tail sums and one (slot, order) power matrix, checked before either
+    # the (slot, order) matrix of ratio powers that becomes V, and its temporary
     _check_fits((2 * max_degree + 2) * grid.N * 8,
                 f"tail sums and slot powers of degree {max_degree} on {grid.N} slots")
     d = hermite_expand_terminal(DigitalPayoff(0.0), 1.0, max_degree)
-    tail_sums = _inverse_power_tail_sums(grid.N, max_degree)
-    earlier_slots = np.arange(grid.N, dtype=float)  # ell - 1 for ell = 1..N
-    total = 0.0
-    for m in range(n + 1, max_degree + 1):
-        if d[m] == 0.0:
-            continue
-        k = np.arange(n + 1, m + 1)
-        binomials = np.array([float(math.comb(m, j)) for j in k])
-        # sum_{k=n+1}^{m} C(m,k) (ell-1)^{m-k}, one entry per slot ell
-        combinatorial = (earlier_slots[:, None] ** (m - k)) @ binomials
-        total += d[m] ** 2 * float(tail_sums[m] ** 2 @ combinatorial)
+    ell = np.arange(1, grid.N + 1, dtype=float)
+    # V_m[ell] = 1 + (ell/(ell+1))^{m/2} V_m[ell+1], up from V_m[N] = 1
+    tails = np.exp(np.multiply.outer(np.log1p(1.0 / ell), -0.5 * np.arange(1, max_degree + 1)))
+    tails[-1] = 1.0
+    for row in range(grid.N - 2, -1, -1):
+        tails[row] = tails[row] * tails[row + 1] + 1.0
+    # P(Bin(m, 1/ell) > n) rises by C(m-1, n) ell^{-n-1} (1-1/ell)^{m-1-n}: trial m is success n+1
+    first, rest = (1.0 / ell) ** (n + 1), (ell - 1) / ell
+    chances, total = np.zeros(grid.N), 0.0
+    for m, v in enumerate(tails.T, start=1):
+        chances += float(math.comb(m - 1, n)) * first * rest ** max(m - 1 - n, 0)
+        total += d[m] ** 2 * float(v @ (v * chances))
     return grid.dt * math.sqrt(total)
 
 

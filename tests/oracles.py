@@ -15,7 +15,8 @@ they are independent routes to quantities chaosco computes another way:
   batch per term;
 - the interpolated tail-mass bound, the constant expansion and the
   expansion CSV reader;
-- the closed-form first-order delta-hedge error of sin(W_T).
+- the closed-form first-order delta-hedge error of sin(W_T), and the
+  occupation time's truncated error norm at 40 digits.
 """
 
 from __future__ import annotations
@@ -338,3 +339,40 @@ def sine_hedge_error(grid: GridSpec) -> float:
     hedged = math.fsum(dt * math.exp(-(T - t)) * (1.0 + math.exp(-2.0 * t)) / 2.0
                        for t in (ell * dt for ell in range(grid.N)))
     return math.sqrt((1.0 - math.exp(-2.0 * T)) / 2.0 - hedged)
+
+
+def occupation_error_norm_mp(n_steps: int, n: int, max_degree: int, T: float = 1.0):
+    """``montecarlo.occupation_error_norm`` at 40 digits, by its defining sum.
+
+    dt^2 sum_{m>n} d_m^2 sum_ell tail_m[ell]^2 sum_{k>n} C(m,k) (ell-1)^{m-k}, with
+    tail_m[ell] = sum_{i>=ell} i^{-m/2}, the digital's d_m = phi(0) H_{m-1}(0)/sqrt(m)
+    in closed form (zero for even m >= 2), and the inner sum in exact integers
+    as ell^m - sum_{k<=n} C(m,k) (ell-1)^{m-k}.  Returns an mpmath number.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        logs = [mpmath.log(i) for i in range(1, n_steps + 1)]
+        total = mpmath.mpf(0)
+        for m in range(n + 1, max_degree + 1):
+            if m % 2 == 0:
+                continue
+            j = (m - 1) // 2
+            h = (-1) ** j * mpmath.sqrt(mpmath.factorial(2 * j)) / (2**j * mpmath.factorial(j))
+            d_m = h / mpmath.sqrt(2 * mpmath.pi * m)
+            tail = per_slot = mpmath.mpf(0)
+            for ell in range(n_steps, 0, -1):
+                tail += mpmath.exp(-m * logs[ell - 1] / 2)
+                exact = ell**m - sum(math.comb(m, k) * (ell - 1) ** (m - k) for k in range(n + 1))
+                per_slot += tail**2 * exact
+            total += d_m**2 * per_slot
+        return mpmath.mpf(T) / n_steps * mpmath.sqrt(total)
+
+
+#: (N, max_degree) -> occupation_error_norm_mp(N, 1, max_degree), T = 1, to 17 digits
+OCCUPATION_ERROR_NORMS = {
+    (64, 60): 0.045799190060916132,
+    (1024, 60): 0.011985191160068186,
+    (1024, 130): 0.012382803695503935,
+    (256, 200): 0.024665085828645702,
+}

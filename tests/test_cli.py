@@ -23,6 +23,7 @@ from chaosco.montecarlo import (
     OccupationTimePayoff,
     PolynomialPayoff,
     coeffs_terminal,
+    occupation_error_norm,
 )
 
 import oracles
@@ -221,6 +222,32 @@ def test_simulate_hedge_occupation_exact(tmp_path):
     assert float(first[1]) == pytest.approx(0.14006300242748623, abs=1e-13)
     assert float(first[2]) == 0.0
     assert "# method=truncated-chaos\n" in out.read_text().splitlines(keepends=True)
+
+
+def test_simulate_hedge_occupation_high_degree_stays_finite(tmp_path):
+    # at degree 110, (ell-1)^{m-k} overflows from N = 1024 on: the rows are the
+    # library's finite norms, falling with N
+    out = tmp_path / "occ.csv"
+    argv = ["simulate-hedge", "--payoff", "occupation", "--N-list", "256,1024,4096",
+            "--max-degree", "110", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    body = _rows(str(out))[1:]
+    want = [occupation_error_norm(GridSpec(1.0, n), 1, 110) for n in (256, 1024, 4096)]
+    assert [float(row[1]) for row in body] == want
+    assert all(math.isfinite(x) for x in want) and want == sorted(want, reverse=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-hedge", "--payoff", "poly:0,0,1e300", "--N-list", "4", "--samples", "10"],
+    ["verify-bound", "--payoff", "poly:0,0,1e300"],
+])
+def test_numpy_overflow_is_a_numerical_failure(tmp_path, capsys, argv):
+    # (1e300 W^2)^2 overflows: the run fails with exit 1 and writes no file,
+    # where it used to write inf and nan cells
+    out = tmp_path / "overflow.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
+    assert "chaosco: numerical failure: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_hedge_terminal_and_worker_independence(tmp_path):

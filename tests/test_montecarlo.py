@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chaosco
 from chaosco import chaos, cli, clark_ocone as co, hermite, montecarlo as mc
@@ -228,6 +228,24 @@ def test_exponential_coeffs_sum_to_second_moment(c, beta, T):
     assert math.fsum(d * d) == pytest.approx(second_moment, rel=2e-15)
 
 
+@pytest.mark.parametrize("c, beta, T", _EXPONENTIAL_CASES)
+def test_exponential_coeffs_bit_equal_to_plain_product(c, beta, T):
+    # where the plain running product stays normal, carrying its binary
+    # exponent apart changes no bit
+    steps = beta * np.sqrt(T / np.arange(1.0, 1001))
+    plain = np.cumprod(np.append(c * np.exp(beta**2 * T / 2), steps)).real
+    got = mc.hermite_expand_terminal(mc.ExponentialPayoff(c, beta), T, 1000)
+    assert got.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("beta", [38j, 40j])
+def test_exponential_coeffs_exact_below_normal_prefactor(beta):
+    # e^{beta^2/2} is subnormal at 38j and 0.0 at 40j, while the d_m around
+    # m = |beta|^2 are normal: sum d_m^2 = E[sin^2(|beta| W_1)] = (1 - e^{-2|beta|^2})/2
+    d = mc.hermite_expand_terminal(mc.ExponentialPayoff(-1j, beta), 1.0, 2000)
+    assert math.fsum(d * d) == pytest.approx(0.5, rel=0.0, abs=1e-14)
+
+
 @pytest.mark.parametrize("c, beta", [(math.nan, 1j), (1.0, math.inf), (math.inf, 0.0),
                                      (1.0, complex(0.0, math.nan)), (1.0, 30.0)])
 def test_exponential_coeffs_refuse_non_finite_without_warning(c, beta):
@@ -292,9 +310,22 @@ def _coeffs_terminal_reference(payoff, grid, max_degree):
     return ChaosExpansion(grid, coeffs)
 
 
+def _inverse_power_tail_sums(n, m):
+    """[sum_{i >= ell} i^{-m/2} for ell = 1..n], added one term at a time from i = n down.
+
+    The powers come from numpy's ``**``, as the builder's do: libm's pow
+    differs from it in the last bit of some powers.
+    """
+    powers = (np.arange(1, n + 1, dtype=float) ** (-m / 2.0)).tolist()
+    sums, total = [], 0.0
+    for x in reversed(powers):
+        total += x
+        sums.append(total)
+    return sums[::-1]
+
+
 def _coeffs_occupation_reference(grid, max_degree):
     d = mc.hermite_expand_terminal(mc.DigitalPayoff(0.0), 1.0, max_degree)
-    tail_sums = mc._inverse_power_tail_sums(grid.N, max_degree)
     coeffs = {(): grid.T / 2.0}
     for a in mi.enumerate_upto(grid.N, max_degree):
         if not a:
@@ -303,7 +334,8 @@ def _coeffs_occupation_reference(grid, max_degree):
         if d[m] == 0.0:
             continue
         log_ratio = 0.5 * (math.lgamma(m + 1) - mi.log_factorial(a))
-        coeffs[a] = grid.dt * d[m] * math.exp(log_ratio) * tail_sums[m][len(a) - 1]
+        tail_sum = _inverse_power_tail_sums(grid.N, m)[len(a) - 1]
+        coeffs[a] = grid.dt * d[m] * math.exp(log_ratio) * tail_sum
     return ChaosExpansion(grid, coeffs)
 
 
@@ -437,15 +469,15 @@ def test_occupation_error_norm_vs_materialized():
 def _occupation_error_norm_loops(grid, n, max_degree):
     """Slot-by-slot, order-by-order sum of the squared order-n tail coefficients."""
     d = mc.hermite_expand_terminal(mc.DigitalPayoff(0.0), 1.0, max_degree)
-    tail_sums = mc._inverse_power_tail_sums(grid.N, max_degree)
     total = 0.0
     for m in range(n + 1, max_degree + 1):
+        tail_sums = _inverse_power_tail_sums(grid.N, m)
         per_slot = 0.0
         for ell in range(1, grid.N + 1):
             combinatorial = sum(
                 math.comb(m, k) * float(ell - 1) ** (m - k) for k in range(n + 1, m + 1)
             )
-            per_slot += tail_sums[m][ell - 1] ** 2 * combinatorial
+            per_slot += tail_sums[ell - 1] ** 2 * combinatorial
         total += d[m] ** 2 * per_slot
     return grid.dt * math.sqrt(total)
 
@@ -458,6 +490,33 @@ def test_occupation_error_norm_matches_loops():
                 assert mc.occupation_error_norm(grid, n, max_degree) == pytest.approx(
                     _occupation_error_norm_loops(grid, n, max_degree), rel=1e-12, abs=0.0
                 )
+
+
+@pytest.mark.parametrize("case", sorted(oracles.OCCUPATION_ERROR_NORMS))
+def test_occupation_error_norm_matches_mpmath(case):
+    # where (ell-1)^{m-k} overflows and the squared tail sums underflow, as
+    # at (1024, 130) and (256, 200), the norm stays exact to rounding
+    n_steps, max_degree = case
+    got = mc.occupation_error_norm(GridSpec(1.0, n_steps), 1, max_degree)
+    assert got == pytest.approx(oracles.OCCUPATION_ERROR_NORMS[case], rel=1e-15, abs=0.0)
+
+
+def test_occupation_error_norm_oracle_reproduces_its_table():
+    pytest.importorskip("mpmath")
+    got = oracles.occupation_error_norm_mp(64, 1, 60)
+    assert float(got) == oracles.OCCUPATION_ERROR_NORMS[64, 60]
+
+
+@PROPERTY
+@given(st.integers(1, 4096), st.integers(1, 3), st.integers(0, 199), st.integers(1, 20),
+       st.sampled_from([0.5, 1.0, 3.0]))
+@example(4096, 1, 100, 10, 1.0)  # (ell-1)^{m-k} overflows from here on
+@example(1024, 3, 190, 10, 3.0)
+def test_occupation_error_norm_finite_and_monotone_in_degree(n_steps, n, max_degree, more, T):
+    grid = GridSpec(T, n_steps)
+    low = mc.occupation_error_norm(grid, n, max_degree)
+    high = mc.occupation_error_norm(grid, n, min(max_degree + more, 200))
+    assert math.isfinite(high) and 0.0 <= low <= high
 
 
 def test_pool_size_caps(monkeypatch):
