@@ -4,7 +4,8 @@ A ChaosExpansion stores finitely many Fourier coefficients of a Wiener
 functional in the orthonormal Fourier-Hermite basis of standardized Brownian
 increments on a uniform grid.  The module provides Sobolev norms, conditional
 expectation projections, pathwise evaluation, the exact coarse-to-fine
-refinement operator and the expansion CSV writer.
+refinement operator and the expansion CSV writer.  Pathwise evaluation, of an
+expansion or of a Clark-Ocone decomposition, takes paths in bounded chunks.
 """
 
 from __future__ import annotations
@@ -196,27 +197,47 @@ def conditional_expectation(f: ChaosExpansion, ell: int) -> ChaosExpansion:
 def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     """Pathwise value at standardized increments xi (last axis has N entries).
 
-    A slot-major xi, such as ``np.moveaxis(slots, 0, -1)`` of a C-contiguous
-    (N, ...) array, is read without a copy.  The slots the keys reach, their
-    Hermite table and _evaluate_table's two buffers are checked against
-    physical memory first.
+    Paths are taken EVALUATE_CHUNK at a time, so memory grows with the batch
+    only by the results (see :func:`_evaluate_chunks`).
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != f.grid.N:
-        raise ValueError(f"expected {f.grid.N} increments, got {xi.shape[-1]}")
     terms = f.items()
-    # graded order ends at the top degree; the table covers only the slots
-    # some key reaches, and is slot-major so every table[order, slot] is one
-    # contiguous run
+    # graded order ends at the top degree; the tables cover only the slots
+    # some key reaches
     degree = sum(terms[-1][0]) if terms else 0
     reach = max(map(len, f.coeffs), default=0)
-    paths = math.prod(xi.shape[:-1])
-    mi._check_fits(((degree + 2) * reach + 2) * paths * 8,
-                   f"Hermite table of degree {degree} on {reach} slots for {paths} paths")
-    slots = np.ascontiguousarray(np.moveaxis(xi, -1, 0)[:reach])
-    table = hermite.eval_all(degree, slots)  # (order, slot, ...)
-    out = _evaluate_table(terms, table)
-    return float(out) if out.ndim == 0 else out
+    return _evaluate_chunks(xi, f.grid.N, degree, reach,
+                            lambda value, table: np.copyto(value, _evaluate_table(terms, table)))
+
+
+#: paths per chunk of the pathwise evaluators
+EVALUATE_CHUNK = 4096
+
+
+def _evaluate_chunks(xi, n: int, degree: int, reach: int, fill) -> np.ndarray:
+    """Values at increments xi (last axis has n entries), EVALUATE_CHUNK paths at a time.
+
+    fill(value, table) writes one chunk's values from its slot-major Hermite
+    table, orders 0..degree on the first ``reach`` slots, in which every
+    table[order, slot] is one contiguous run.  The results, one chunk's
+    slots and table and two chunk buffers are checked against physical
+    memory first.  A value depends only on its own path, so chunking changes
+    no bit.  One path gives a float.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} increments, got shape {xi.shape}")
+    shape = xi.shape[:-1]
+    paths = xi.reshape(-1, n)
+    total = len(paths)
+    rows = min(total, EVALUATE_CHUNK)
+    mi._check_fits(total * 8 + ((degree + 2) * reach + 2) * rows * 8,
+                   f"{total} values and {rows}-path tables of degree {degree} on {reach} slots")
+    out = np.empty(total)
+    for lo in range(0, total, EVALUATE_CHUNK):
+        chunk = paths[lo : lo + EVALUATE_CHUNK]
+        slots = np.ascontiguousarray(chunk[:, :reach].T)
+        fill(out[lo : lo + len(chunk)], hermite.eval_all(degree, slots))  # (order, slot, path)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def _evaluate_table(terms, table: np.ndarray) -> np.ndarray:

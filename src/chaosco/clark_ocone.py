@@ -9,7 +9,8 @@ entry exceeds n, and its Sobolev norm after grid refinement is computable in
 coefficient space without materializing the fine grid: each coefficient loses
 the tail mass S of its last entry, tabulated once per (n, N1) from a sum of
 positive terms (see :func:`tail_mass`), and the norm is a dot product of that
-table with the expansion's degree classes.
+table with the expansion's degree classes.  The decomposition is evaluated
+pathwise in the chunks of :func:`chaos.evaluate`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
-from . import hermite, multiindex as mi
-from .chaos import (ChaosExpansion, GridSpec, _CanonicalCoeffs, _evaluate_table, _exp_half,
-                    _scaled_sqrt)
+from . import multiindex as mi
+from .chaos import (ChaosExpansion, GridSpec, _CanonicalCoeffs, _evaluate_chunks, _evaluate_table,
+                    _exp_half, _scaled_sqrt)
 from .multiindex import MultiIndex
 
 
@@ -87,49 +88,25 @@ def reconstruct(d: ClarkOconeDecomposition) -> ChaosExpansion:
     return ChaosExpansion(d.grid, coeffs)
 
 
-#: paths per chunk of :func:`evaluate_decomposition`
-DECOMPOSITION_CHUNK = 4096
-
-
 def evaluate_decomposition(d: ClarkOconeDecomposition, xi) -> np.ndarray:
     """Pathwise sum mean + sum_terms integrand(xi) * H_m(xi_ell).
 
-    Paths are taken DECOMPOSITION_CHUNK at a time.  One slot-major Hermite
-    table per chunk, up to the largest order and slot of any term, gives
-    every integrand's factors and every H_m(xi_ell); each Hermite row depends
-    only on the rows below it, so the values are those of per-term tables.
-    The table, the chunk's buffers and the results are checked against
-    physical memory first, so memory grows with the batch only by its
-    results.
+    Paths are read in :func:`chaos.evaluate`'s chunks.  One Hermite table
+    per chunk, up to the largest order and slot of any term, gives every
+    integrand's factors and every H_m(xi_ell); each Hermite row depends only
+    on the rows below it, so the values are those of per-term tables.
     """
-    xi = np.asarray(xi, dtype=float)
-    n = d.grid.N
-    if xi.shape[-1] != n:
-        raise ValueError(f"expected {n} increments, got {xi.shape[-1]}")
-    shape = xi.shape[:-1]
-    paths = xi.reshape(-1, n)
-    total = len(paths)
     reach = max((term.ell for term in d.terms), default=0)
     degree = max((max(term.m, term.integrand.max_degree()) for term in d.terms), default=0)
-    rows = min(total, DECOMPOSITION_CHUNK)
-    # the results, the chunk's slots and table, and _evaluate_table's two buffers
-    mi._check_fits(total * 8 + ((degree + 2) * reach + 2) * rows * 8,
-                   f"decomposition values of {total} paths and their {rows}-path chunk tables")
-    out = np.empty(total)
-    slot_buffer = np.empty(reach * rows)
-    for lo in range(0, total, DECOMPOSITION_CHUNK):
-        chunk = paths[lo : lo + DECOMPOSITION_CHUNK]
-        rows = len(chunk)
-        slots = slot_buffer[: reach * rows].reshape(reach, rows)
-        np.copyto(slots, chunk[:, :reach].T)
-        table = hermite.eval_all(degree, slots)  # (order, slot, path)
-        value = out[lo : lo + rows]
+
+    def fill(value, table):
         value.fill(d.mean)
         for term in d.terms:
             term_value = _evaluate_table(term.integrand.items(), table)
             term_value *= table[term.m, term.ell - 1]
             value += term_value
-    return float(out[0]) if not shape else out.reshape(shape)
+
+    return _evaluate_chunks(xi, d.grid.N, degree, reach, fill)
 
 
 def err_tail(f: ChaosExpansion, n: int) -> ChaosExpansion:

@@ -7,9 +7,10 @@ Parameter precedence is flag > environment (CHAOSCO_<NAME>) > config file
 temporary file and an atomic rename so partial outputs never appear.
 
 Exit codes: 0 success, 1 numerical failure, a numpy overflow or invalid value
-included (or failed bound rows), 2 invalid configuration, including an index
-set too large to build or an array sized by the input, such as Monte Carlo
-results or a Gauss rule, too large for physical memory.
+included (or failed bound rows), 2 invalid configuration, including an --out
+that is empty, a directory or in a missing directory, an index set too large
+to build or an array sized by the input, such as Monte Carlo results or a
+Gauss rule, too large for physical memory.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ _OPTIONS = {
     "seed": (int, 20240824, lambda x: 0 <= x < 2**128, "a Philox key in [0, 2**128)"),
     "samples": (int, 100_000, lambda x: x >= 1, ">= 1"),
     "workers": (int, 1, lambda x: x >= 1, ">= 1"),
-    "out": (str, None, None, None),
+    "out": (str, None, lambda p: p != "" and not os.path.isdir(p)
+            and os.path.isdir(os.path.dirname(p) or "."), "a file path whose directory exists"),
 }
 
 _COMMAND_OPTIONS = {
@@ -194,9 +196,9 @@ def resolve_config(command: str, args: argparse.Namespace) -> Dict[str, object]:
         import json  # only runs with a config file pay for it
 
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must contain a JSON object")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosco import chaos, hermite
+from chaosco import chaos, hermite, montecarlo as mc
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
 
@@ -197,23 +197,47 @@ def test_evaluate():
 
 
 def test_evaluate_refused_beyond_physical_memory(monkeypatch):
-    # degree 10 on 4 slots: the slots, the 11-order table and two buffers
-    # are 50 doubles a path, 400 bytes, against 100 pages of 4096 bytes
+    # degree 10 on 4 slots: a chunk's slots, 11-order table and two buffers
+    # are 50 doubles a path, 400 bytes, and every result is 8 bytes more
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     f = ChaosExpansion(GridSpec(1.0, 4), {(): 0.5, (0, 0, 0, 10): 1.0})
-    xi = np.zeros((20_000, 4))
-    assert chaos.evaluate(f, xi[:1024]).shape == (1024,)
+    xi = np.zeros((51_201, 4))
+    # below one chunk, the chunk is the batch
+    assert chaos.evaluate(f, xi[:1003]).shape == (1003,)
+    chunk = 400 * chaos.EVALUATE_CHUNK
+    pages["SC_PHYS_PAGES"] = 500
+    # a whole-batch table of 20,000 paths would not fit in 500 pages
+    assert 400 * 20_000 > 500 * 4096
+    assert chaos.evaluate(f, xi[:20_000]).shape == (20_000,)
+    assert chaos.evaluate(f, xi[:51_200]).shape == (51_200,)
     tracemalloc.start()
     try:
-        with pytest.raises(mi.PathBatchTooLarge, match=f" {400 * 1025} bytes"):
-            chaos.evaluate(f, xi[:1025])
-        with pytest.raises(mi.PathBatchTooLarge, match=f" {400 * 20_000} bytes"):
+        with pytest.raises(mi.PathBatchTooLarge, match=f" {8 * 51_201 + chunk} bytes"):
             chaos.evaluate(f, xi)
+        pages["SC_PHYS_PAGES"] = 100
+        with pytest.raises(mi.PathBatchTooLarge, match=f" {408 * 1004} bytes"):
+            chaos.evaluate(f, xi[:1004])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_evaluate_memory_grows_only_by_the_results():
+    # 200,000 paths of the N = 4, degree-4 digital: 1.6 MB of results and
+    # one 4096-path chunk, 2.7 MB in all, where whole-batch tables took 45 MB
+    f = mc.coeffs_terminal(mc.DigitalPayoff(0.0), GridSpec(1.0, 4), 4)
+    assert len(f.coeffs) == 25
+    xi = np.random.default_rng(5).standard_normal((200_000, 4))
+    tracemalloc.start()
+    try:
+        values = chaos.evaluate(f, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (200_000,)
+    assert peak < 8 * 2**20
 
 
 def _evaluate_per_term(f, xi):

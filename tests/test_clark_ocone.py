@@ -93,36 +93,48 @@ def test_decomposition_pathwise_matches_expansion():
 
 
 def test_evaluate_decomposition_chunks_bit_equal():
-    # chunk remainders, one path and a (j, k) batch: bit for bit the sum of
+    # chunk remainders, one path and a (j, k) batch: chaos.evaluate bit for
+    # bit its whole-batch reference, and evaluate_decomposition the sum of
     # whole-batch evaluations, one per term
-    assert co.DECOMPOSITION_CHUNK == 4096
+    assert chaos.EVALUATE_CHUNK == 4096
     rng = np.random.default_rng(23)
     grid = GridSpec(1.0, 5)
     f = ChaosExpansion(grid, {a: rng.uniform(-1, 1) for a in mi.enumerate_upto(5, 4)
                               if rng.random() < 0.5})
     d = co.decompose(f)
     assert len({term.ell for term in d.terms}) == 5
+
+    def assert_bit_equal(xi):
+        assert chaos.evaluate(f, xi).tobytes() == oracles.evaluate_reference(f, xi).tobytes()
+        want = oracles.evaluate_decomposition_reference(d, xi)
+        assert co.evaluate_decomposition(d, xi).tobytes() == want.tobytes()
+
     for rows in (1, 4095, 4097, 2 * 4096 + 17):
-        xi = rng.standard_normal((rows, 5))
-        got = co.evaluate_decomposition(d, xi)
-        assert got.tobytes() == oracles.evaluate_decomposition_reference(d, xi).tobytes()
+        assert_bit_equal(rng.standard_normal((rows, 5)))
     # a slot-major view and a (j, k) batch
-    slots = rng.standard_normal((5, 4100))
-    want = oracles.evaluate_decomposition_reference(d, slots.T)
-    assert co.evaluate_decomposition(d, slots.T).tobytes() == want.tobytes()
+    assert_bit_equal(rng.standard_normal((5, 4100)).T)
     xi = rng.standard_normal((3, 1500, 5))
-    got = co.evaluate_decomposition(d, xi)
-    assert got.shape == (3, 1500)
-    assert got.tobytes() == oracles.evaluate_decomposition_reference(d, xi).tobytes()
+    assert co.evaluate_decomposition(d, xi).shape == chaos.evaluate(f, xi).shape == (3, 1500)
+    assert_bit_equal(xi)
     single = rng.standard_normal(5)
-    value = co.evaluate_decomposition(d, single)
-    assert isinstance(value, float)
-    want = oracles.evaluate_decomposition_reference(d, single)
-    assert np.float64(value).tobytes() == np.asarray(want).tobytes()
+    for value, want in ((chaos.evaluate(f, single), oracles.evaluate_reference(f, single)),
+                        (co.evaluate_decomposition(d, single),
+                         oracles.evaluate_decomposition_reference(d, single))):
+        assert isinstance(value, float)
+        assert np.float64(value).tobytes() == np.asarray(want).tobytes()
     constant = co.decompose(oracles.constant(grid, 1.5))
     assert np.array_equal(co.evaluate_decomposition(constant, xi), np.full((3, 1500), 1.5))
     with pytest.raises(ValueError, match="expected 5 increments"):
         co.evaluate_decomposition(d, xi[..., :4])
+
+
+def test_scalar_increments_are_refused():
+    # a 0-d xi has no increment axis: both evaluators name the count they expect
+    f = ChaosExpansion(GridSpec(1.0, 1), {(): 0.5, (1,): 0.25, (3,): -0.125})
+    for evaluate, g in ((chaos.evaluate, f), (co.evaluate_decomposition, co.decompose(f))):
+        with pytest.raises(ValueError, match="expected 1 increments"):
+            evaluate(g, 0.3)
+        assert evaluate(g, [0.3]) == evaluate(g, np.array([[0.3]]))[0]
 
 
 def test_err_tail():

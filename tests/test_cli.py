@@ -406,6 +406,32 @@ def test_invalid_configuration_exit_codes(tmp_path):
         assert not out.exists()
 
 
+def test_unusable_out_or_undecodable_config_refused_before_computing(tmp_path, monkeypatch,
+                                                                     capsys):
+    # each is refused while the options are read: nothing is computed and no
+    # output or temporary file appears, in the working directory or above it
+    def computed(*args):
+        raise AssertionError("computed before the options were checked")
+
+    monkeypatch.setattr(cli, "coeffs_terminal", computed)
+    work = tmp_path / "work"
+    (work / "existing").mkdir(parents=True)
+    config = work / "utf16.json"
+    config.write_bytes(b"\xff\xfe{}")
+    monkeypatch.chdir(work)
+    for extra, named in (
+        (["--out", ""], "--out"),
+        (["--out", str(tmp_path / "missing" / "x.csv")], "--out"),
+        (["--out", str(work / "existing")], "--out"),
+        (["--config", str(config), "--out", "x.csv"], f"config file {config}"),
+    ):
+        assert main(["expand", "--payoff", "poly:0,1", *extra]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("chaosco: invalid configuration: ") and err.count("\n") == 1
+        assert named in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing", "utf16.json", "work"]
+
+
 def test_oversized_index_set_refused_before_allocating(tmp_path, capsys):
     # C(76, 12) ~ 1.7e13 indexes on 64 slots: refused at once, naming the size
     out = tmp_path / "big.csv"
