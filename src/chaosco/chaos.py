@@ -4,8 +4,8 @@ A ChaosExpansion stores finitely many Fourier coefficients of a Wiener
 functional in the orthonormal Fourier-Hermite basis of standardized Brownian
 increments on a uniform grid.  The module provides Sobolev norms, conditional
 expectation projections, pathwise evaluation, the exact coarse-to-fine
-refinement operator and the expansion CSV writer.  Pathwise evaluation, of an
-expansion or of a Clark-Ocone decomposition, takes paths in bounded chunks.
+refinement operator and the expansion CSV writer.  Pathwise evaluation, the
+package's only one, takes paths in bounded chunks.
 """
 
 from __future__ import annotations
@@ -194,70 +194,57 @@ def conditional_expectation(f: ChaosExpansion, ell: int) -> ChaosExpansion:
     return ChaosExpansion(f.grid, kept)
 
 
-def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
-    """Pathwise value at standardized increments xi (last axis has N entries).
-
-    Paths are taken EVALUATE_CHUNK at a time, so memory grows with the batch
-    only by the results (see :func:`_evaluate_chunks`).
-    """
-    terms = f.items()
-    # graded order ends at the top degree; the tables cover only the slots
-    # some key reaches
-    degree = sum(terms[-1][0]) if terms else 0
-    reach = max(map(len, f.coeffs), default=0)
-    return _evaluate_chunks(xi, f.grid.N, degree, reach,
-                            lambda value, table: np.copyto(value, _evaluate_table(terms, table)))
-
-
-#: paths per chunk of the pathwise evaluators
+#: paths per chunk of the pathwise evaluator
 EVALUATE_CHUNK = 4096
 
 
-def _evaluate_chunks(xi, n: int, degree: int, reach: int, fill) -> np.ndarray:
-    """Values at increments xi (last axis has n entries), EVALUATE_CHUNK paths at a time.
+def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
+    """Pathwise value at standardized increments xi (last axis has N entries).
 
-    fill(value, table) writes one chunk's values from its slot-major Hermite
-    table, orders 0..degree on the first ``reach`` slots, in which every
-    table[order, slot] is one contiguous run.  The results, one chunk's
-    slots and table and two chunk buffers are checked against physical
-    memory first.  A value depends only on its own path, so chunking changes
-    no bit.  One path gives a float.
+    Paths are taken EVALUATE_CHUNK at a time, each chunk with one slot-major
+    Hermite table on the slots some key reaches; the terms c * H_{a_1} *
+    H_{a_2} * ..., each formed left to right from c, are summed in graded
+    order.  The results, a chunk's slots, table and two buffers, and the copy
+    that merging xi's leading axes makes where their strides do not nest, are
+    checked against physical memory first.  A value depends only on its own
+    path, so chunking changes no bit.  One path gives a float.
     """
+    n = f.grid.N
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1:] != (n,):
         raise ValueError(f"expected {n} increments, got shape {xi.shape}")
     shape = xi.shape[:-1]
-    paths = xi.reshape(-1, n)
-    total = len(paths)
+    total = math.prod(shape)
+    # the leading axes merge into one view only where each stride nests the next
+    lead = [(size, step) for size, step in zip(shape, xi.strides) if size != 1]
+    copied = any(step != inner * size for (_, step), (size, inner) in zip(lead, lead[1:]))
+    terms = f.items()
+    # graded order ends at the top degree
+    degree = sum(terms[-1][0]) if terms else 0
+    reach = max(map(len, f.coeffs), default=0)
     rows = min(total, EVALUATE_CHUNK)
-    mi._check_fits(total * 8 + ((degree + 2) * reach + 2) * rows * 8,
-                   f"{total} values and {rows}-path tables of degree {degree} on {reach} slots")
+    what = f"{total} values and {rows}-path tables of degree {degree} on {reach} slots"
+    mi._check_fits(total * (1 + copied * n) * 8 + ((degree + 2) * reach + 2) * rows * 8,
+                   what + (", and a copy of the paths" if copied else ""))
+    paths = xi.reshape(-1, n)
     out = np.empty(total)
     for lo in range(0, total, EVALUATE_CHUNK):
         chunk = paths[lo : lo + EVALUATE_CHUNK]
-        slots = np.ascontiguousarray(chunk[:, :reach].T)
-        fill(out[lo : lo + len(chunk)], hermite.eval_all(degree, slots))  # (order, slot, path)
+        table = hermite.eval_all(degree, np.ascontiguousarray(chunk[:, :reach].T))
+        value = np.zeros(len(chunk))
+        term = np.empty(len(chunk))
+        for a, c in terms:
+            factors = [(order, slot) for slot, order in enumerate(a) if order]
+            if not factors:
+                value += c
+                continue
+            np.multiply(c, table[factors[0]], out=term)
+            for factor in factors[1:]:
+                term *= table[factor]
+            value += term
+        out[lo : lo + len(chunk)] = value
+        del table, value, term  # gone before the next chunk's: factors hold no views
     return float(out[0]) if not shape else out.reshape(shape)
-
-
-def _evaluate_table(terms, table: np.ndarray) -> np.ndarray:
-    """Sum of c * H_{a_1} * H_{a_2} * ... over the (a, c) terms, in their order.
-
-    table is an (order, slot, ...) Hermite table that covers every order
-    and slot of the terms; each product is formed left to right from c.
-    """
-    out = np.zeros(table.shape[2:])
-    term = np.empty(table.shape[2:])
-    for a, c in terms:
-        factors = [table[order, slot] for slot, order in enumerate(a) if order]
-        if not factors:
-            out += c
-            continue
-        np.multiply(c, factors[0], out=term)
-        for factor in factors[1:]:
-            term *= factor
-        out += term
-    return out
 
 
 def refine(f: ChaosExpansion, n1: int) -> ChaosExpansion:

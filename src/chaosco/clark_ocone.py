@@ -9,8 +9,8 @@ entry exceeds n, and its Sobolev norm after grid refinement is computable in
 coefficient space without materializing the fine grid: each coefficient loses
 the tail mass S of its last entry, tabulated once per (n, N1) from a sum of
 positive terms (see :func:`tail_mass`), and the norm is a dot product of that
-table with the expansion's degree classes.  The decomposition is evaluated
-pathwise in the chunks of :func:`chaos.evaluate`.
+table with the expansion's degree classes.  A decomposition is evaluated
+pathwise as the expansion it regroups.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from typing import Dict, Iterable, Iterator, Tuple
 import numpy as np
 
 from . import multiindex as mi
-from .chaos import (ChaosExpansion, GridSpec, _CanonicalCoeffs, _evaluate_chunks, _evaluate_table,
-                    _exp_half, _scaled_sqrt)
+from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, _exp_half, _scaled_sqrt, evaluate
 from .multiindex import MultiIndex
 
 
@@ -91,22 +90,11 @@ def reconstruct(d: ClarkOconeDecomposition) -> ChaosExpansion:
 def evaluate_decomposition(d: ClarkOconeDecomposition, xi) -> np.ndarray:
     """Pathwise sum mean + sum_terms integrand(xi) * H_m(xi_ell).
 
-    Paths are read in :func:`chaos.evaluate`'s chunks.  One Hermite table
-    per chunk, up to the largest order and slot of any term, gives every
-    integrand's factors and every H_m(xi_ell); each Hermite row depends only
-    on the rows below it, so the values are those of per-term tables.
+    Evaluated by :func:`chaos.evaluate` as the expansion it regroups, that
+    of :func:`reconstruct`, so overlapping terms or a slot ell beyond the
+    grid raise a ValueError.
     """
-    reach = max((term.ell for term in d.terms), default=0)
-    degree = max((max(term.m, term.integrand.max_degree()) for term in d.terms), default=0)
-
-    def fill(value, table):
-        value.fill(d.mean)
-        for term in d.terms:
-            term_value = _evaluate_table(term.integrand.items(), table)
-            term_value *= table[term.m, term.ell - 1]
-            value += term_value
-
-    return _evaluate_chunks(xi, d.grid.N, degree, reach, fill)
+    return evaluate(reconstruct(d), xi)
 
 
 def err_tail(f: ChaosExpansion, n: int) -> ChaosExpansion:

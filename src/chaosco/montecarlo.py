@@ -265,13 +265,18 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
     the index set: for degree m and last slot ell, those with last entry k
     share C(m,k) (ell-1)^{m-k} tail_m[ell]^2 after the m!/a'! reduction, and
     summed over k > n that is V_m[ell]^2 P(Bin(m, 1/ell) > n), with
-    V_m[ell] = sum_{i >= ell} (ell/i)^{m/2} in [1, N].  Every factor is
-    positive and bounded, so none overflows while C(m-1, n) is a float.
+    V_m[ell] = sum_{i >= ell} (ell/i)^{m/2} in [1, N].  The chance is carried
+    with the first n + 1 probabilities of Bin(m, 1/ell), updated by Pascal's
+    rule, a convex combination: every factor is positive and bounded, so none
+    overflows at any order or degree.
     """
     if n < 1:
         raise ValueError("error order n must be >= 1")
-    # the (slot, order) matrix of ratio powers that becomes V, and its temporary
-    _check_fits((2 * max_degree + 2) * grid.N * 8,
+    # no count of max_degree trials exceeds max_degree: the head needs no more rows
+    rows = min(n, max_degree) + 1
+    # the (slot, order) matrix of ratio powers that becomes V, and its
+    # temporary, then the binomial head and its shifted copy
+    _check_fits((2 * max_degree + 2 * rows + 2) * grid.N * 8,
                 f"tail sums and slot powers of degree {max_degree} on {grid.N} slots")
     d = hermite_expand_terminal(DigitalPayoff(0.0), 1.0, max_degree)
     ell = np.arange(1, grid.N + 1, dtype=float)
@@ -280,11 +285,16 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
     tails[-1] = 1.0
     for row in range(grid.N - 2, -1, -1):
         tails[row] = tails[row] * tails[row + 1] + 1.0
-    # P(Bin(m, 1/ell) > n) rises by C(m-1, n) ell^{-n-1} (1-1/ell)^{m-1-n}: trial m is success n+1
-    first, rest = (1.0 / ell) ** (n + 1), (ell - 1) / ell
+    # P(Bin(m, 1/ell) > n) rises by P(Bin(m-1, 1/ell) = n) / ell: trial m is success n+1
+    p, stay = 1.0 / ell, (ell - 1) / ell
+    head = np.zeros((rows, grid.N))  # P(Bin(m-1, 1/ell) = k) for k < rows
+    head[0] = 1.0
     chances, total = np.zeros(grid.N), 0.0
     for m, v in enumerate(tails.T, start=1):
-        chances += float(math.comb(m - 1, n)) * first * rest ** max(m - 1 - n, 0)
+        chances += p * head[-1]
+        shifted = p * head[:-1]
+        head *= stay
+        head[1:] += shifted
         total += d[m] ** 2 * float(v @ (v * chances))
     return grid.dt * math.sqrt(total)
 
@@ -578,13 +588,3 @@ def tracking_error_hedges(
     # reduced over the whole vector: per-block sums would change the last bits
     return [_l2_of_samples(r) for r in residuals]
 
-
-def occupation_value(batch: PathBatch) -> np.ndarray:
-    """Pathwise occupation time of [0, infinity) on the grid."""
-    sqrt_dt = math.sqrt(batch.grid.dt)
-
-    def occupation(xi: np.ndarray) -> np.ndarray:
-        w = np.cumsum(sqrt_dt * xi, axis=0)
-        return (w >= 0.0).sum(axis=0) * batch.grid.dt
-
-    return _map_blocks([batch], [occupation])[0]

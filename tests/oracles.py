@@ -15,7 +15,8 @@ they are independent routes to quantities chaosco computes another way:
   batch per term;
 - the interpolated tail-mass bound, the constant expansion and the
   expansion CSV reader;
-- the closed-form first-order delta-hedge error of sin(W_T), and the
+- the closed-form first-order delta-hedge error of sin(W_T), the pathwise
+  occupation time, streamed through the package's block sampler, and the
   occupation time's truncated error norm at 40 digits.
 """
 
@@ -33,6 +34,7 @@ from chaosco import hermite
 from chaosco.chaos import ChaosExpansion, GridSpec
 from chaosco.clark_ocone import (ClarkOconeDecomposition, _check_interpolation, _check_orders,
                                  _log_denominator)
+from chaosco.montecarlo import PathBatch, _map_blocks
 from chaosco.multiindex import MultiIndex, canonical, log_factorial
 
 #: brute-force permutation sums grow like (m!)^2; keep them desk-scale
@@ -341,6 +343,17 @@ def sine_hedge_error(grid: GridSpec) -> float:
     return math.sqrt((1.0 - math.exp(-2.0 * T)) / 2.0 - hedged)
 
 
+def occupation_value(batch: PathBatch) -> np.ndarray:
+    """Pathwise occupation time of [0, infinity) on the grid, block by block."""
+    sqrt_dt = math.sqrt(batch.grid.dt)
+
+    def occupation(xi: np.ndarray) -> np.ndarray:
+        w = np.cumsum(sqrt_dt * xi, axis=0)
+        return (w >= 0.0).sum(axis=0) * batch.grid.dt
+
+    return _map_blocks([batch], [occupation])[0]
+
+
 def occupation_error_norm_mp(n_steps: int, n: int, max_degree: int, T: float = 1.0):
     """``montecarlo.occupation_error_norm`` at 40 digits, by its defining sum.
 
@@ -375,4 +388,10 @@ OCCUPATION_ERROR_NORMS = {
     (1024, 60): 0.011985191160068186,
     (1024, 130): 0.012382803695503935,
     (256, 200): 0.024665085828645702,
+}
+
+#: (N, n, max_degree) -> occupation_error_norm_mp(N, n, max_degree), T = 1, to 17
+#: digits, at an order whose C(max_degree - 1, n) is no float (too slow for tier-1)
+OCCUPATION_ERROR_NORMS_HIGH_ORDER = {
+    (2, 600, 1300): 0.021245447218432195,
 }

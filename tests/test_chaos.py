@@ -224,6 +224,26 @@ def test_evaluate_refused_beyond_physical_memory(monkeypatch):
     assert peak < 2**20
 
 
+def test_evaluate_counts_the_copy_of_a_batch_whose_paths_do_not_merge(monkeypatch):
+    # (500, 2, 4) taken from every other row of a (1000, 2, 4) array: its two
+    # leading axes cannot be one view, so reshaping it to 1000 paths copies
+    # 32 bytes a path besides the 8-byte result and the 400-byte chunk
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 408 * 1000}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    f = ChaosExpansion(GridSpec(1.0, 4), {(): 0.5, (0, 0, 0, 10): 1.0})
+    xi = np.random.default_rng(3).standard_normal((1000, 2, 4))[::2]
+    merged = np.ascontiguousarray(xi)
+    assert chaos.evaluate(f, merged).shape == (500, 2)
+    # leading axes whose strides nest merge without a copy, however strided
+    wide = np.zeros((500, 2, 9))[..., 1:5]
+    assert chaos.evaluate(f, wide).shape == (500, 2)
+    pages["SC_PHYS_PAGES"] = 440 * 1000 - 1
+    with pytest.raises(mi.PathBatchTooLarge, match=f" {440 * 1000} bytes"):
+        chaos.evaluate(f, xi)
+    pages["SC_PHYS_PAGES"] = 440 * 1000
+    assert chaos.evaluate(f, xi).tobytes() == chaos.evaluate(f, merged).tobytes()
+
+
 def test_evaluate_memory_grows_only_by_the_results():
     # 200,000 paths of the N = 4, degree-4 digital: 1.6 MB of results and
     # one 4096-path chunk, 2.7 MB in all, where whole-batch tables took 45 MB

@@ -92,10 +92,30 @@ def test_decomposition_pathwise_matches_expansion():
     assert np.max(np.abs(direct - via_terms)) < 1e-12
 
 
+@PROPERTY
+@given(_sparse_expansions(), st.integers(1, 3))
+def test_evaluate_decomposition_is_evaluate_bit_for_bit(f, rows):
+    xi = np.random.default_rng(rows).standard_normal((rows, f.grid.N))
+    on_terms = co.evaluate_decomposition(co.decompose(f), xi)
+    assert on_terms.tobytes() == chaos.evaluate(f, xi).tobytes()
+
+
+def test_evaluate_decomposition_refuses_overlap_and_slots_beyond_the_grid():
+    g = GridSpec(1.0, 2)
+    xi = np.zeros((4, 2))
+    twice = co.ClarkOconeTerm(2, 1, oracles.constant(g, 1.0))
+    with pytest.raises(ValueError, match=r"overlapping term key \(0, 1\)"):
+        co.evaluate_decomposition(co.ClarkOconeDecomposition(g, 0.0, (twice, twice)), xi)
+    beyond = co.ClarkOconeTerm(3, 1, oracles.constant(g, 1.0))
+    with pytest.raises(ValueError, match=r"index \(0, 0, 1\) needs 3 slots but grid has 2"):
+        co.evaluate_decomposition(co.ClarkOconeDecomposition(g, 0.0, (beyond,)), xi)
+
+
 def test_evaluate_decomposition_chunks_bit_equal():
     # chunk remainders, one path and a (j, k) batch: chaos.evaluate bit for
-    # bit its whole-batch reference, and evaluate_decomposition the sum of
-    # whole-batch evaluations, one per term
+    # bit its whole-batch reference, and evaluate_decomposition bit for bit
+    # the expansion it regroups, within 1e-12 of the sum of whole-batch
+    # evaluations, one per term
     assert chaos.EVALUATE_CHUNK == 4096
     rng = np.random.default_rng(23)
     grid = GridSpec(1.0, 5)
@@ -105,9 +125,12 @@ def test_evaluate_decomposition_chunks_bit_equal():
     assert len({term.ell for term in d.terms}) == 5
 
     def assert_bit_equal(xi):
-        assert chaos.evaluate(f, xi).tobytes() == oracles.evaluate_reference(f, xi).tobytes()
+        values = chaos.evaluate(f, xi)
+        assert values.tobytes() == oracles.evaluate_reference(f, xi).tobytes()
+        on_terms = co.evaluate_decomposition(d, xi)
+        assert on_terms.tobytes() == values.tobytes()
         want = oracles.evaluate_decomposition_reference(d, xi)
-        assert co.evaluate_decomposition(d, xi).tobytes() == want.tobytes()
+        assert np.max(np.abs(on_terms - want)) < 1e-12
 
     for rows in (1, 4095, 4097, 2 * 4096 + 17):
         assert_bit_equal(rng.standard_normal((rows, 5)))
@@ -117,11 +140,12 @@ def test_evaluate_decomposition_chunks_bit_equal():
     assert co.evaluate_decomposition(d, xi).shape == chaos.evaluate(f, xi).shape == (3, 1500)
     assert_bit_equal(xi)
     single = rng.standard_normal(5)
-    for value, want in ((chaos.evaluate(f, single), oracles.evaluate_reference(f, single)),
-                        (co.evaluate_decomposition(d, single),
-                         oracles.evaluate_decomposition_reference(d, single))):
-        assert isinstance(value, float)
-        assert np.float64(value).tobytes() == np.asarray(want).tobytes()
+    value = chaos.evaluate(f, single)
+    assert np.float64(value).tobytes() == oracles.evaluate_reference(f, single).tobytes()
+    on_terms = co.evaluate_decomposition(d, single)
+    assert isinstance(value, float) and isinstance(on_terms, float)
+    assert np.float64(on_terms).tobytes() == np.float64(value).tobytes()
+    assert abs(on_terms - oracles.evaluate_decomposition_reference(d, single)) < 1e-12
     constant = co.decompose(oracles.constant(grid, 1.5))
     assert np.array_equal(co.evaluate_decomposition(constant, xi), np.full((3, 1500), 1.5))
     with pytest.raises(ValueError, match="expected 5 increments"):

@@ -774,7 +774,7 @@ def test_sobolev_overflow_names_quantity_row_and_index(tmp_path, capsys):
     (["simulate-hedge", "--payoff", "digital:0", "--N-list", f"4,{2**40}", "--samples", "1"],
      f"block buffers of 1 paths on {2**40} slots need {2 * 8 * 2**40} bytes"),
     (["simulate-hedge", "--payoff", "occupation", "--N-list", f"4,{2**40}"],
-     f"slot powers of degree 20 on {2**40} slots need {42 * 8 * 2**40} bytes"),
+     f"slot powers of degree 20 on {2**40} slots need {46 * 8 * 2**40} bytes"),
 ])
 def test_slot_sized_arrays_refused_before_allocating(tmp_path, capsys, argv, what):
     # each would hold terabytes; if the check were missing, the allocation

@@ -446,7 +446,7 @@ def test_coeffs_occupation_time_vs_monte_carlo():
     grid = GridSpec(1.0, 4)
     f = mc.coeffs_occupation_time(grid, 9)
     batch = mc.sample_paths(grid, 200_000, seed=99)
-    values = mc.occupation_value(batch)
+    values = oracles.occupation_value(batch)
     xi1 = batch.increments[:, 0]
     prod = values * xi1
     se = float(np.std(prod, ddof=1)) / math.sqrt(batch.n_samples)
@@ -499,6 +499,17 @@ def test_occupation_error_norm_matches_mpmath(case):
     n_steps, max_degree = case
     got = mc.occupation_error_norm(GridSpec(1.0, n_steps), 1, max_degree)
     assert got == pytest.approx(oracles.OCCUPATION_ERROR_NORMS[case], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(oracles.OCCUPATION_ERROR_NORMS_HIGH_ORDER))
+def test_occupation_error_norm_at_orders_whose_binomials_are_no_float(case):
+    # C(1299, 600) overflows a float; the binomial law's first n + 1
+    # probabilities do not, and an order beyond every count leaves no error
+    n_steps, n, max_degree = case
+    got = mc.occupation_error_norm(GridSpec(1.0, n_steps), n, max_degree)
+    want = oracles.OCCUPATION_ERROR_NORMS_HIGH_ORDER[case]
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert mc.occupation_error_norm(GridSpec(1.0, 4), 10**12, 20) == 0.0
 
 
 def test_occupation_error_norm_oracle_reproduces_its_table():
@@ -575,7 +586,8 @@ def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
     grid = GridSpec(1.0, 4)
     batch = mc.sample_paths(grid, 3 * mc.SAMPLE_BLOCK, seed=1, workers=3)
     blocks = 2 * mc.SAMPLE_BLOCK * 4 * 8
-    assert refused_at(blocks, lambda: mc.occupation_value(batch)).shape == (3 * mc.SAMPLE_BLOCK,)
+    occupation = refused_at(blocks, lambda: oracles.occupation_value(batch))
+    assert occupation.shape == (3 * mc.SAMPLE_BLOCK,)
     f = mc.coeffs_terminal(mc.PolynomialPayoff((0.0, 1.0, 0.0, 1.0)), GridSpec(1.0, 3), 3)
     d = co.decompose(f)
     xi = np.zeros((1000, 3))
@@ -669,7 +681,7 @@ def _check_streamed_against_materialized():
             for payoff, expected in zip(STREAMED_PAYOFFS, hedges):
                 assert mc.tracking_error_hedge(payoff, grid, batch) == expected
             assert mc.mc_err_norm(f, 1, batch) == norm
-            assert np.array_equal(mc.occupation_value(batch), occupation)
+            assert np.array_equal(oracles.occupation_value(batch), occupation)
             assert "increments" not in vars(batch)
             assert np.array_equal(batch.increments, serial.increments)
 
@@ -860,7 +872,7 @@ def test_map_blocks_in_any_grid_order_bit_equal_across_workers(monkeypatch):
                        for n in n_list]
             got = mc.tracking_error_hedges(payoff, batches)
             assert [r.tobytes() for r in got] == hedges
-            assert [mc.occupation_value(b).tobytes() for b in batches] == occupations
+            assert [oracles.occupation_value(b).tobytes() for b in batches] == occupations
 
 
 def test_empty_batch_list_gives_no_results():
@@ -895,11 +907,15 @@ def test_streamed_evaluation_matches_reference_loop():
         tail = co.err_tail(f, n)
         expected = mc._l2_of_samples(oracles.evaluate_reference(tail, batch.increments))
         assert mc.mc_err_norm(f, n, batch) == expected
-    # the term integrands live on the first ell - 1 of the five slots
+    # the term integrands live on the first ell - 1 of the five slots; the
+    # decomposition evaluates bit for bit as the expansion it regroups
+    xi = batch.increments
     for payoff in (mc.PolynomialPayoff((1.0, 0.0, 0.0, -2.0)), mc.DigitalPayoff(0.0)):
-        d = co.decompose(mc.coeffs_terminal(payoff, grid, 4))
-        expected = oracles.evaluate_decomposition_reference(d, batch.increments)
-        assert np.array_equal(co.evaluate_decomposition(d, batch.increments), expected)
+        g = mc.coeffs_terminal(payoff, grid, 4)
+        values = co.evaluate_decomposition(co.decompose(g), xi)
+        assert values.tobytes() == chaos.evaluate(g, xi).tobytes()
+        expected = oracles.evaluate_decomposition_reference(co.decompose(g), xi)
+        assert np.max(np.abs(values - expected)) < 1e-12
 
 
 def test_sample_paths_moments():
