@@ -206,11 +206,13 @@ def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     H_{a_2} * ..., each formed left to right from c, are summed in graded
     order.  The results, a chunk's slots, table and two buffers, and the copy
     that merging xi's leading axes makes where their strides do not nest, are
-    checked against physical memory first.  A value depends only on its own
-    path, so chunking changes no bit.  One path gives a float.
+    checked against physical memory first.  Each chunk's slots are converted
+    to float64 as they are copied, so xi of another dtype is never converted
+    whole.  A value depends only on its own path, so chunking changes no bit.
+    One path gives a float.
     """
     n = f.grid.N
-    xi = np.asarray(xi, dtype=float)
+    xi = np.asarray(xi)
     if xi.shape[-1:] != (n,):
         raise ValueError(f"expected {n} increments, got shape {xi.shape}")
     shape = xi.shape[:-1]
@@ -230,7 +232,7 @@ def evaluate(f: ChaosExpansion, xi) -> np.ndarray:
     out = np.empty(total)
     for lo in range(0, total, EVALUATE_CHUNK):
         chunk = paths[lo : lo + EVALUATE_CHUNK]
-        table = hermite.eval_all(degree, np.ascontiguousarray(chunk[:, :reach].T))
+        table = hermite.eval_all(degree, np.ascontiguousarray(chunk[:, :reach].T, dtype=float))
         value = np.zeros(len(chunk))
         term = np.empty(len(chunk))
         for a, c in terms:
@@ -288,6 +290,15 @@ def csv_field_template(length: int) -> str:
     if length < 2:
         return ("()", "%d")[length]
     return '"%s"' % ",".join(["%d"] * length)
+
+
+def _round_trip_g(x: float) -> str:
+    """format(x, ".{p}g") at the least p from 6 (plain "g") whose text reads back as x."""
+    for p in range(6, 17):
+        text = format(x, f".{p}g")
+        if float(text) == x:
+            return text
+    return format(x, ".17g")
 
 
 def write_expansion_csv(f: ChaosExpansion, stream, header_lines: Iterable[str] = ()) -> None:

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import multiindex as mi
-from .chaos import ChaosExpansion, GridSpec, csv_field_template, write_expansion_csv
+from .chaos import ChaosExpansion, GridSpec, _round_trip_g, csv_field_template, write_expansion_csv
 from .clark_ocone import decompose, fit_loglog_slope, verify_bounds
 from .montecarlo import (
     DigitalPayoff,
@@ -226,8 +226,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> Dict[str, object]:
     return resolved
 
 
-#: execution details excluded from output headers so byte-identical results
-#: stay byte-identical regardless of where or how parallel the run was
+#: options that shape no result, kept out of output headers: where the output
+#: goes, and --workers, which is still accepted and checked but changes nothing
 _NON_CONFIG_OPTIONS = frozenset({"out", "workers"})
 
 
@@ -238,7 +238,7 @@ def _header_lines(command: str, cfg: Dict[str, object]) -> List[str]:
             continue
         value = cfg[name]
         if isinstance(value, list):
-            value = ",".join(format(v, "g") if isinstance(v, float) else str(v) for v in value)
+            value = ",".join(_round_trip_g(v) if isinstance(v, float) else str(v) for v in value)
         lines.append(f"{name}={value}")
     return lines
 
@@ -351,19 +351,22 @@ def cmd_verify_bound(cfg: Dict[str, object]) -> int:
     else:
         cases = [(cfg["payoff"], _payoff_expansion(cfg))]
     lists = [cfg[name] for name in ("order_n_list", "N1_list", "sobolev_s_list", "interp_r_list")]
+    # the s and r cells, formatted once, in the order every (n, N1) runs through them
+    cells = [(_round_trip_g(s), _round_trip_g(r)) for s, r in itertools.product(*lists[2:])]
     all_hold = True
 
     def rows():
         nonlocal all_hold
         for label, expansion in cases:
             label = _csv_field(label)
-            for n, n1, s, r, lhs, rhs, holds, slack in verify_bounds(expansion, *lists):
+            table = zip(verify_bounds(expansion, *lists), itertools.cycle(cells))
+            for (n, n1, _, _, lhs, rhs, holds, slack), (s, r) in table:
                 all_hold = all_hold and holds
                 yield label, n, n1, s, r, lhs, rhs, _HOLDS[holds], slack
 
     _write_table("verify-bound", cfg,
                  ["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"],
-                 "%s,%d,%d,%g,%g,%.17g,%.17g,%s,%.17g\n", rows())
+                 "%s,%d,%d,%s,%s,%.17g,%.17g,%s,%.17g\n", rows())
     return EXIT_OK if all_hold else EXIT_NUMERICAL
 
 
@@ -394,7 +397,7 @@ def cmd_simulate_hedge(cfg: Dict[str, object]) -> int:
         comments = []
         # one batch per N, all hedged from one sampling pass at the largest N
         batches = [
-            sample_paths(GridSpec(cfg["T"], n_steps), cfg["samples"], cfg["seed"], cfg["workers"])
+            sample_paths(GridSpec(cfg["T"], n_steps), cfg["samples"], cfg["seed"])
             for n_steps in cfg["N_list"]
         ]
         rows = [

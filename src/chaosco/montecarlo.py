@@ -5,24 +5,23 @@ object carrying its label, its one-step Hermite coefficients (Gauss quadrature
 for polynomials, where it is exact; closed forms for exponentials and digitals)
 and its conditional delta kernel; one builder makes its grid expansion and the
 occupation time's from per-degree leads and per-slot weights.  Path sampling
-uses the counter-based Philox generator in fixed-size blocks so results are
-bit-stable regardless of how many threads sample them; the estimators stream
-those blocks, slot-major, on the calling thread instead of holding every path.
+uses the counter-based Philox generator in fixed-size blocks keyed by their
+index, so any block is regenerated bit for bit; the estimators stream those
+blocks, slot-major, one at a time instead of holding every path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import hermite, multiindex as mi
-from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, evaluate
+from .chaos import ChaosExpansion, GridSpec, _CanonicalCoeffs, _round_trip_g, evaluate
 from .clark_ocone import err_tail
 from .multiindex import PathBatchTooLarge, _check_fits  # noqa: F401 (re-exported)
 
@@ -52,7 +51,7 @@ class PolynomialPayoff:
 
     @property
     def label(self) -> str:
-        return "poly:" + ",".join(format(c, "g") for c in self.coeffs)
+        return "poly:" + ",".join(map(_round_trip_g, self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -152,7 +151,7 @@ class DigitalPayoff:
 
     @property
     def label(self) -> str:
-        return f"digital:{self.strike:g}"
+        return "digital:" + _round_trip_g(self.strike)
 
     def hermite_coeffs(self, T: float, max_degree: int) -> np.ndarray:
         return hermite.indicator_integrals(max_degree, self.strike / math.sqrt(T))
@@ -307,24 +306,21 @@ def occupation_error_norm(grid: GridSpec, n: int, max_degree: int) -> float:
 class PathBatch:
     """Seeded description of a batch of standardized increments xi.
 
-    Only the grid, the sample count, the Philox seed and the thread count are
-    stored.  The increments of block b are regenerated bit for bit from
-    (seed, b) whenever an estimator streams the batch (``_map_blocks``): with
-    ``workers`` >= 2, one sampler thread fills a block while the calling
-    thread runs the estimator, and two block buffers are held at every
-    ``workers`` and sample count.  ``increments`` materializes the whole
-    (n_samples, N) array on first access, block by block in one thread, and
+    Only the grid, the sample count and the Philox seed are stored.  The
+    increments of block b are regenerated bit for bit from (seed, b)
+    whenever an estimator streams the batch (``_map_blocks``), with two
+    block buffers held at every sample count.  ``increments`` materializes
+    the whole (n_samples, N) array on first access, block by block, and
     keeps it.
     """
 
     grid: GridSpec
     n_samples: int
     seed: int
-    workers: int = 1
 
     def __post_init__(self):
-        if self.n_samples < 1 or self.workers < 1:
-            raise ValueError("n_samples and workers must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
 
     @property
     def n_blocks(self) -> int:
@@ -355,20 +351,9 @@ class PathBatch:
         return np.cumsum(paths, axis=1, out=paths)
 
 
-def _sample_block(seed: int, block: int, rows: np.ndarray) -> None:
-    _block_pieces(seed, block, rows.reshape(-1), [rows.size])[0]()
-
-
-def _block_pieces(
-    seed: int, block: int, stream: np.ndarray, ends: Sequence[int]
-) -> List[Callable[[], None]]:
-    """Fills of stream[:ends[0]], stream[ends[0]:ends[1]], ... from block's generator.
-
-    Run in order, they leave stream[:ends[-1]] bit-equal to _sample_block's
-    one fill: the generator draws the same normals however its output is cut.
-    """
-    fill = np.random.Generator(np.random.Philox(key=seed).jumped(block)).standard_normal
-    return [partial(fill, out=stream[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+def _sample_block(seed: int, block: int, out: np.ndarray) -> None:
+    """Fill C-contiguous out, in memory order, from block's Philox(key=seed).jumped(block)."""
+    np.random.Generator(np.random.Philox(key=seed).jumped(block)).standard_normal(out=out)
 
 
 def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
@@ -376,109 +361,61 @@ def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
     return lo, min(lo + SAMPLE_BLOCK, n_samples)
 
 
-def _pool_size(workers: int, n_blocks: int) -> int:
-    """Threads the streamed estimators may use, the calling one included.
-
-    Never more than requested, blocks, or CPUs; at 2 or more, one sampler
-    thread fills the blocks while the calling thread evaluates them.
-    """
-    return max(1, min(workers, n_blocks, os.cpu_count() or 1))
-
-
 def _map_blocks(
     batches: Sequence[PathBatch], fns: Sequence[Callable[[np.ndarray], np.ndarray]]
 ) -> List[np.ndarray]:
     """fns[i] over batches[i], one SAMPLE_BLOCK of paths at a time, in sample order.
 
-    The batches share seed, sample count and workers, so block b of each is
-    the same Philox stream cut to its own grid: it is sampled once, row-major
-    at the largest N, into one stream buffer, and every batch reads its rows
-    from a prefix of it.  The stream is filled in pieces that end at each
-    distinct rows * N, and the batches are taken in ascending N, so each
-    prefix is transposed as soon as it is filled: TRANSPOSE_ROWS rows at a
-    time, so that each tile stays in cache, into the one C-contiguous
-    slot-major (N, rows) buffer that fn receives; fn returns one value per
-    path.  The slot buffer is refilled for every call, so fn may overwrite
-    it.  Every fn runs on the calling thread, block after block.
-
-    With _pool_size(workers, n_blocks) >= 2 the pieces run in order on one
-    sampler thread (numpy's generator fills without holding the GIL), and
-    block b + 1's are submitted once block b's last prefix is transposed,
-    so they overlap its last fn; otherwise the calling thread fills each
-    piece when its prefix is needed.  A block's stream comes from one
-    sequential generator and the calling thread is the busier one, so more
-    workers add no sampler.  Two block buffers are held at every worker
-    count, and memory does not grow with n_samples beyond the results and
-    what fn allocates per call.  Every block is keyed by its own index, so
-    results do not depend on workers.  An exception in a sampler or in fn
-    is raised here once the sampler has ended the piece it had started.
+    The batches share seed and sample count, so block b of each is the same
+    Philox stream cut to its own grid: it is sampled once, row-major at the
+    largest N, into one stream buffer, and every batch reads its rows from
+    a prefix of it.  In the caller's order, each batch's prefix is
+    transposed TRANSPOSE_ROWS rows at a time, so that each tile stays in
+    cache, into the one C-contiguous slot-major (N, rows) buffer that fn
+    receives; fn returns one value per path.  The slot buffer is refilled
+    for every call, so fn may overwrite it.  Everything runs on the calling
+    thread, block after block, and an exception in the sampler or in fn is
+    raised as it comes.  Two block buffers are held, and memory does not
+    grow with n_samples beyond the results and what fn allocates per call.
     """
     if not batches:
         return []
     first = batches[0]
-    shared = (first.seed, first.n_samples, first.workers)
-    if any((b.seed, b.n_samples, b.workers) != shared for b in batches):
-        raise ValueError("path batches must share seed, n_samples and workers")
-    n, n_blocks = first.n_samples, first.n_blocks
-    slot_counts = sorted({b.grid.N for b in batches})
+    if any((b.seed, b.n_samples) != (first.seed, first.n_samples) for b in batches):
+        raise ValueError("path batches must share seed and n_samples")
+    n = first.n_samples
+    max_slots = max(b.grid.N for b in batches)
     _check_fits(len(batches) * n * 8, f"results of {n} paths on {len(batches)} grids")
-    size = min(n, SAMPLE_BLOCK) * slot_counts[-1]
-    _check_fits(2 * size * 8,
-                f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {slot_counts[-1]} slots")
+    size = min(n, SAMPLE_BLOCK) * max_slots
+    _check_fits(2 * size * 8, f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {max_slots} slots")
     outs = [np.empty(n) for _ in batches]
     stream, slot_buffer = np.empty(size), np.empty(size)
-    order = sorted(range(len(batches)), key=lambda i: batches[i].grid.N)
-    pool = None
-    if _pool_size(first.workers, n_blocks) >= 2:
-        from concurrent.futures import ThreadPoolExecutor  # one-thread runs never pay for it
-        pool = ThreadPoolExecutor(max_workers=1)
-
-    def sample(b: int) -> List[Callable[[], None]]:
-        # block b's pieces, one per distinct N, in the order the loop asks
-        # for them: each call waits for its piece, or fills it just once
+    for b in range(first.n_blocks):
         lo, hi = _block_bounds(b, n)
-        pieces = _block_pieces(first.seed, b, stream, [(hi - lo) * N for N in slot_counts])
-        return [pool.submit(fill).result for fill in pieces] if pool else list(map(cache, pieces))
-
-    try:
-        pieces = sample(0)
-        for b in range(n_blocks):
-            lo, hi = _block_bounds(b, n)
-            rows = hi - lo
-            for i in order:
-                slots = batches[i].grid.N
-                pieces[slot_counts.index(slots)]()
-                xi = slot_buffer[: rows * slots].reshape(slots, rows)
-                paths = stream[: rows * slots].reshape(rows, slots)
-                for tile in range(0, rows, TRANSPOSE_ROWS):
-                    tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
-                    np.copyto(xi[:, tile_rows], paths[tile_rows].T)
-                if i == order[-1] and b + 1 < n_blocks:
-                    # the stream has been read: block b + 1 fills it during this fn
-                    pieces = sample(b + 1)
-                outs[i][lo:hi] = fns[i](xi)
-    finally:
-        if pool is not None:
-            # on an exception, pieces not yet started are dropped
-            pool.shutdown(cancel_futures=True)
+        rows = hi - lo
+        _sample_block(first.seed, b, stream[: rows * max_slots])
+        for batch, fn, out in zip(batches, fns, outs):
+            slots = batch.grid.N
+            xi = slot_buffer[: rows * slots].reshape(slots, rows)
+            paths = stream[: rows * slots].reshape(rows, slots)
+            for tile in range(0, rows, TRANSPOSE_ROWS):
+                tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
+                np.copyto(xi[:, tile_rows], paths[tile_rows].T)
+            out[lo:hi] = fn(xi)
     return outs
 
 
-def sample_paths(
-    grid: GridSpec, n_samples: int, seed: int, workers: int = 1
-) -> PathBatch:
+def sample_paths(grid: GridSpec, n_samples: int, seed: int) -> PathBatch:
     """Deterministic batch of standardized normal increments.
 
     Generation happens in fixed SAMPLE_BLOCK-row blocks keyed by (seed, block
-    index), so every result is independent of ``workers``, which only lets a
-    sampler thread fill the next block during estimation.  Each block
-    is filled row-major from its own stream, so block b on N slots holds the
-    first rows * N normals of block b on any larger grid with the same seed
-    and sample count: one sampling pass serves a whole list of grids.
-    Nothing is sampled here: estimators stream the blocks, and
-    ``increments`` builds the full array on demand.
+    index).  Each block is filled row-major from its own stream, so block b
+    on N slots holds the first rows * N normals of block b on any larger
+    grid with the same seed and sample count: one sampling pass serves a
+    whole list of grids.  Nothing is sampled here: estimators stream the
+    blocks, and ``increments`` builds the full array on demand.
     """
-    return PathBatch(grid, n_samples, seed, workers)
+    return PathBatch(grid, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +466,7 @@ def tracking_error_hedges(
 ) -> List[McEstimate]:
     """:func:`tracking_error_hedge` on each batch's grid, from one sampling pass.
 
-    The batches share seed, sample count and workers (see ``_map_blocks``);
+    The batches share seed and sample count (see ``_map_blocks``);
     each estimate is bit-equal to the one its batch gives on its own.  The
     kernel scales each slot-major block to dW in place, since the block is
     the slot buffer that ``_map_blocks`` refills for every call, and

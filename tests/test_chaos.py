@@ -260,6 +260,25 @@ def test_evaluate_memory_grows_only_by_the_results():
     assert peak < 8 * 2**20
 
 
+def test_evaluate_converts_another_dtype_chunk_by_chunk():
+    # a float32 batch is converted a chunk at a time, never whole: its peak
+    # stays near the float64 batch's, and its values are bit-equal to those
+    # of the batch converted first
+    f = ChaosExpansion(GridSpec(1.0, 4), {(): 0.5, (0, 1, 0, 2): 1.0})
+    single = np.random.default_rng(6).standard_normal((200_000, 4)).astype(np.float32)
+    double = single.astype(float)
+    peaks, values = [], []
+    for xi in (double, single):
+        tracemalloc.start()
+        try:
+            values.append(chaos.evaluate(f, xi))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+    assert values[1].tobytes() == values[0].tobytes()
+
+
 def _evaluate_per_term(f, xi):
     """Reference evaluation: path-major table, one strided slot column per factor."""
     xi = np.asarray(xi, dtype=float)

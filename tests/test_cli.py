@@ -527,7 +527,7 @@ def _child_peak_rss(args):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_simulate_hedge_peak_memory(tmp_path):
-    # the hedge streams one 4096-path block per thread; the whole
+    # the hedge streams one 4096-path block at a time; the whole
     # 50000 x 256 batch alone would be 102 MB
     code, peak_mb = _child_peak_rss(
         ["-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0", "--N-list", "256",
@@ -538,9 +538,9 @@ def test_simulate_hedge_peak_memory(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_simulate_hedge_two_lanes_peak_memory(tmp_path):
-    # a sampler thread's stream buffer, the slot buffer and per-call
-    # buffers of a few slots, where one (N + 1) x 4096 table per call gives
-    # 85.7 MB
+    # the stream buffer, the slot buffer and per-call buffers of a few
+    # slots, where one (N + 1) x 4096 table per call gives 85.7 MB; --workers
+    # is accepted and changes nothing
     code, peak_mb = _child_peak_rss(
         ["-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0", "--N-list", "256",
          "--samples", "50000", "--workers", "2", "--out", str(tmp_path / "hedge.csv")])
@@ -550,8 +550,8 @@ def test_simulate_hedge_two_lanes_peak_memory(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_simulate_hedge_peak_memory_same_at_one_and_two_threads(tmp_path):
-    # one stream buffer and one slot buffer at every --workers: the sampler
-    # thread adds no block buffer (54.1 MB on one thread, 54.6 MB on two)
+    # one stream buffer and one slot buffer at every --workers, which is
+    # accepted and changes nothing (54.1 MB measured)
     peaks = {}
     for workers in ("1", "2"):
         code, peaks[workers] = _child_peak_rss(
@@ -769,12 +769,16 @@ def test_sobolev_overflow_names_quantity_row_and_index(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, what", [
-    (["rate-sweep", "--payoff", "digital:0", "--N1-list", f"4,{2**40}"],
-     f"power sums over {2**40} fine slots need {3 * 8 * 2**40} bytes"),
-    (["simulate-hedge", "--payoff", "digital:0", "--N-list", f"4,{2**40}", "--samples", "1"],
-     f"block buffers of 1 paths on {2**40} slots need {2 * 8 * 2**40} bytes"),
-    (["simulate-hedge", "--payoff", "occupation", "--N-list", f"4,{2**40}"],
-     f"slot powers of degree 20 on {2**40} slots need {46 * 8 * 2**40} bytes"),
+    pytest.param(["rate-sweep", "--payoff", "digital:0", "--N1-list", f"4,{2**40}"],
+                 f"power sums over {2**40} fine slots need {3 * 8 * 2**40} bytes",
+                 id="rate-sweep"),
+    pytest.param(["simulate-hedge", "--payoff", "digital:0", "--N-list", f"4,{2**40}",
+                  "--samples", "1"],
+                 f"block buffers of 1 paths on {2**40} slots need {2 * 8 * 2**40} bytes",
+                 id="simulate-hedge-digital"),
+    pytest.param(["simulate-hedge", "--payoff", "occupation", "--N-list", f"4,{2**40}"],
+                 f"slot powers of degree 20 on {2**40} slots need {46 * 8 * 2**40} bytes",
+                 id="simulate-hedge-occupation"),
 ])
 def test_slot_sized_arrays_refused_before_allocating(tmp_path, capsys, argv, what):
     # each would hold terabytes; if the check were missing, the allocation
@@ -786,9 +790,32 @@ def test_slot_sized_arrays_refused_before_allocating(tmp_path, capsys, argv, wha
     assert not out.exists()
 
 
+def test_float_lists_and_cells_written_to_round_trip(tmp_path):
+    # list floats in the header and the s and r cells keep the fewest digits
+    # from 6 on that read back as the value: two Sobolev indexes that agree
+    # to 6 digits stay apart, and the default lists are written as before
+    out = tmp_path / "bound.csv"
+    assert main(["verify-bound", "--payoff", "digital:0", "--N0", "2", "--max-degree", "3",
+                 "--order-n-list", "1", "--sobolev-s-list", "0.1234567,0.1234568",
+                 "--out", str(out)]) == EXIT_OK
+    header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+    assert "# sobolev_s_list=0.1234567,0.1234568" in header
+    assert "# interp_r_list=0,0.5,1" in header
+    body = _rows(str(out))[1:]
+    lhs = {s: {row[5] for row in body if row[3] == s} for s in ("0.1234567", "0.1234568")}
+    assert {row[3] for row in body} == set(lhs) and {row[4] for row in body} == {"0", "0.5", "1"}
+    # one lhs per N1 at each s
+    assert all(len(values) == 7 for values in lhs.values())
+    assert lhs["0.1234567"].isdisjoint(lhs["0.1234568"])
+    assert main(["verify-bound", "--payoff", "digital:0", "--N0", "2", "--max-degree", "3",
+                 "--interp-r-list", f"{0.1 + 0.2!r},1", "--out", str(out)]) == EXIT_OK
+    assert "# interp_r_list=0.30000000000000004,1\n" in out.read_text()
+    assert {row[4] for row in _rows(str(out))[1:]} == {"0.30000000000000004", "1"}
+
+
 def test_startup_imports_no_thread_pool_or_json():
-    # concurrent.futures is imported for a multi-threaded run and json for a
-    # config file; importing the CLI pays for neither
+    # json is imported for a config file only, and nothing starts a thread
+    # pool; importing the CLI pays for neither
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, chaosco.cli; "

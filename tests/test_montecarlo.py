@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import decimal
 import math
 import re
@@ -7,7 +8,6 @@ import threading
 import tracemalloc
 import typing
 import warnings
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -113,7 +113,7 @@ def test_oversized_expansions_refused_before_computing(monkeypatch):
 def test_hermite_table_refused_beyond_physical_memory(monkeypatch):
     # 100 pages of 4096 bytes; poly:0,0,1 at degree d needs d // 2 + 2 nodes
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
-    monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(mi.os, "sysconf", pages.__getitem__)
     square = mc.PolynomialPayoff((0.0, 0.0, 1.0))
     assert mc.hermite_expand_terminal(square, 1.0, 200).shape == (201,)
     needed = f"degrees 0..999999 .* {10**6 * (10**6 // 2 + 1) * 8} bytes"
@@ -530,19 +530,6 @@ def test_occupation_error_norm_finite_and_monotone_in_degree(n_steps, n, max_deg
     assert math.isfinite(high) and 0.0 <= low <= high
 
 
-def test_pool_size_caps(monkeypatch):
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
-    assert mc._pool_size(1, 10) == 1
-    assert mc._pool_size(4, 10) == 2
-    assert mc._pool_size(10_000, 3) == 2
-    assert mc._pool_size(4, 1) == 1
-    assert mc._pool_size(0, 5) == 1
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-    assert mc._pool_size(8, 8) == 1
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
-    assert mc._pool_size(8, 3) == 3
-
-
 def test_path_results_refused_beyond_physical_memory(monkeypatch):
     payoff = mc.PolynomialPayoff((0.0, 0.0, 1.0))
     huge = mc.sample_paths(GridSpec(1.0, 4), 10**12, seed=1)
@@ -558,7 +545,7 @@ def test_path_results_refused_beyond_physical_memory(monkeypatch):
     assert peak < 2**20
     # the limit is physical memory: 100 pages of 4096 bytes here
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
-    monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(mi.os, "sysconf", pages.__getitem__)
     grid = GridSpec(1.0, 4)
     assert mc.tracking_error_hedges(payoff, [mc.sample_paths(grid, 51_200, 1)])
     with pytest.raises(mc.PathBatchTooLarge, match="409608 bytes"):
@@ -569,12 +556,11 @@ def test_path_results_refused_beyond_physical_memory(monkeypatch):
 
 
 def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
-    # the two block buffers, at any worker count, and a decomposition's
-    # chunk table are each counted before anything is allocated; physical
-    # memory is counted in bytes here
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    # the two block buffers and a decomposition's chunk table are each
+    # counted before anything is allocated; physical memory is counted in
+    # bytes here
     pages = {"SC_PAGE_SIZE": 1}
-    monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(mi.os, "sysconf", pages.__getitem__)
 
     def refused_at(need, run):
         pages["SC_PHYS_PAGES"] = need - 1
@@ -584,7 +570,7 @@ def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
         return run()
 
     grid = GridSpec(1.0, 4)
-    batch = mc.sample_paths(grid, 3 * mc.SAMPLE_BLOCK, seed=1, workers=3)
+    batch = mc.sample_paths(grid, 3 * mc.SAMPLE_BLOCK, seed=1)
     blocks = 2 * mc.SAMPLE_BLOCK * 4 * 8
     occupation = refused_at(blocks, lambda: oracles.occupation_value(batch))
     assert occupation.shape == (3 * mc.SAMPLE_BLOCK,)
@@ -654,90 +640,61 @@ STREAMED_PAYOFFS = (
 )
 
 
-def test_sample_paths_worker_independent(monkeypatch):
-    # streamed estimators are bit-equal to the materialized array's, at every
-    # worker count, and never materialize it themselves; four lanes run even
-    # on fewer cores, switching threads often
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        _check_streamed_against_materialized()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def _check_streamed_against_materialized():
+def test_sample_paths_worker_independent():
+    # streamed estimators are bit-equal to the materialized array's, and
+    # never materialize it themselves
     grid = GridSpec(1.0, 3)
     f = mc.coeffs_terminal(mc.DigitalPayoff(0.0), grid, 6)
     tail = co.err_tail(f, 1)
     for n_samples in (100, 3 * mc.SAMPLE_BLOCK + 17):
-        serial = mc.sample_paths(grid, n_samples, seed=5, workers=1)
+        serial = mc.sample_paths(grid, n_samples, seed=5)
         hedges = [_hedge_materialized(p, grid, serial) for p in STREAMED_PAYOFFS]
         norm = mc._l2_of_samples(chaos.evaluate(tail, serial.increments))
         occupation = np.sum(serial.brownian_paths() >= 0.0, axis=1) * grid.dt
-        for workers in (1, 2, 4):
-            batch = mc.sample_paths(grid, n_samples, seed=5, workers=workers)
-            for payoff, expected in zip(STREAMED_PAYOFFS, hedges):
-                assert mc.tracking_error_hedge(payoff, grid, batch) == expected
-            assert mc.mc_err_norm(f, 1, batch) == norm
-            assert np.array_equal(oracles.occupation_value(batch), occupation)
-            assert "increments" not in vars(batch)
-            assert np.array_equal(batch.increments, serial.increments)
+        batch = mc.sample_paths(grid, n_samples, seed=5)
+        for payoff, expected in zip(STREAMED_PAYOFFS, hedges):
+            assert mc.tracking_error_hedge(payoff, grid, batch) == expected
+        assert mc.mc_err_norm(f, 1, batch) == norm
+        assert np.array_equal(oracles.occupation_value(batch), occupation)
+        assert "increments" not in vars(batch)
+        assert np.array_equal(batch.increments, serial.increments)
 
 
-def test_tracking_error_hedges_share_one_stream(monkeypatch):
+def test_tracking_error_hedges_share_one_stream():
     # one sampling pass for a list of grids gives, grid by grid, the estimate
-    # of that grid's own pass, at every worker count and block remainder
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for n_list in ([1, 3, 16], [5]):
-            for n_samples in (100, 3 * mc.SAMPLE_BLOCK + 17):
-                for workers in (1, 2, 4):
-                    batches = [mc.sample_paths(GridSpec(1.0, n), n_samples, 9, workers)
-                               for n in n_list]
-                    for payoff in STREAMED_PAYOFFS:
-                        expected = [mc.tracking_error_hedge(payoff, b.grid, b)
-                                    for b in batches]
-                        assert mc.tracking_error_hedges(payoff, batches) == expected
-                    assert all("increments" not in vars(b) for b in batches)
-    finally:
-        sys.setswitchinterval(interval)
+    # of that grid's own pass, at every block remainder
+    for n_list in ([1, 3, 16], [5]):
+        for n_samples in (100, 3 * mc.SAMPLE_BLOCK + 17):
+            batches = [mc.sample_paths(GridSpec(1.0, n), n_samples, 9) for n in n_list]
+            for payoff in STREAMED_PAYOFFS:
+                expected = [mc.tracking_error_hedge(payoff, b.grid, b) for b in batches]
+                assert mc.tracking_error_hedges(payoff, batches) == expected
+            assert all("increments" not in vars(b) for b in batches)
 
 
 def test_streamed_remainders_bit_equal(monkeypatch):
     # every remainder of a slot chunk, a transpose tile and a sample block:
-    # each path's residual and each mc_err_norm value is the reference's, at
-    # every worker count; the estimators return their pathwise values here
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    # each path's residual and each mc_err_norm value is the reference's;
+    # the estimators return their pathwise values here
     monkeypatch.setattr(mc, "_l2_of_samples", lambda values: values.copy())
     chunk, tile = mc.HEDGE_CHUNK, mc.TRANSPOSE_ROWS
     norm_grid = GridSpec(1.0, 5)
     f = mc.coeffs_terminal(mc.DigitalPayoff(0.5), norm_grid, 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for n_samples in (1, tile - 1, tile + 1, 3 * mc.SAMPLE_BLOCK + 17):
-            assert n_samples % tile
-            for n in (1, 2, chunk + 1, 2 * chunk + 3):
-                grid = GridSpec(1.0, n)
-                serial = mc.sample_paths(grid, n_samples, seed=11)
-                expected = [_hedge_residual_materialized(p, grid, serial)
-                            for p in STREAMED_PAYOFFS]
-                for workers in (1, 2, 4):
-                    batch = mc.sample_paths(grid, n_samples, 11, workers)
-                    for payoff, want in zip(STREAMED_PAYOFFS, expected):
-                        got = mc.tracking_error_hedge(payoff, grid, batch)
-                        assert got.tobytes() == want.tobytes()
-            norms = mc.sample_paths(norm_grid, n_samples, seed=11)
-            want = oracles.evaluate_reference(co.err_tail(f, 1), norms.increments)
-            for workers in (1, 2, 4):
-                batch = mc.sample_paths(norm_grid, n_samples, 11, workers)
-                assert mc.mc_err_norm(f, 1, batch).tobytes() == want.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    for n_samples in (1, tile - 1, tile + 1, 3 * mc.SAMPLE_BLOCK + 17):
+        assert n_samples % tile
+        for n in (1, 2, chunk + 1, 2 * chunk + 3):
+            grid = GridSpec(1.0, n)
+            serial = mc.sample_paths(grid, n_samples, seed=11)
+            expected = [_hedge_residual_materialized(p, grid, serial)
+                        for p in STREAMED_PAYOFFS]
+            batch = mc.sample_paths(grid, n_samples, 11)
+            for payoff, want in zip(STREAMED_PAYOFFS, expected):
+                got = mc.tracking_error_hedge(payoff, grid, batch)
+                assert got.tobytes() == want.tobytes()
+        norms = mc.sample_paths(norm_grid, n_samples, seed=11)
+        want = oracles.evaluate_reference(co.err_tail(f, 1), norms.increments)
+        batch = mc.sample_paths(norm_grid, n_samples, 11)
+        assert mc.mc_err_norm(f, 1, batch).tobytes() == want.tobytes()
 
 
 def test_sine_hedge_matches_closed_form_error():
@@ -786,27 +743,23 @@ def test_digital_delta_in_place_bit_equal():
         assert (out == 0.0).any() and (out[(out > 0) & (out < 2.3e-308)]).size
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_map_blocks_failure_ends_every_thread(monkeypatch, workers):
-    # an exception in a sampler or in fn is raised by _map_blocks with no
-    # sampler thread left behind
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-    batch = mc.sample_paths(GridSpec(1.0, 3), 10 * mc.SAMPLE_BLOCK, seed=1, workers=workers)
-    wide = mc.sample_paths(GridSpec(1.0, 8), 10 * mc.SAMPLE_BLOCK, seed=1, workers=workers)
-    block_pieces = mc._block_pieces
+@pytest.mark.parametrize("n_grids", [2, 4])
+def test_map_blocks_failure_ends_every_thread(monkeypatch, n_grids):
+    # an exception in the sampler or in fn is raised by _map_blocks as it
+    # comes, and no thread is started, whether one grid or n_grids grids
+    # share each block
+    batch = mc.sample_paths(GridSpec(1.0, 3), 10 * mc.SAMPLE_BLOCK, seed=1)
+    grids = [mc.sample_paths(GridSpec(1.0, n), 10 * mc.SAMPLE_BLOCK, seed=1)
+             for n in (8, 3, 5, 2)[:n_grids]]
+    sample_block = mc._sample_block
 
-    def failing_sampler(at, piece=0):
-        def sampler(seed, block, stream, ends):
-            pieces = block_pieces(seed, block, stream, ends)
+    def failing_sampler(at):
+        def sampler(seed, block, out):
+            sample_block(seed, block, out)
             if block == at:
-                pieces[piece] = partial(failing_piece, pieces[piece])
-            return pieces
+                raise LookupError("sampler failed")
 
         return sampler
-
-    def failing_piece(fill):
-        fill()
-        raise LookupError("sampler failed")
 
     def failing_fn(xi):
         calls.append(None)
@@ -817,48 +770,29 @@ def test_map_blocks_failure_ends_every_thread(monkeypatch, workers):
     def first_slot(xi):
         return xi[0].copy()
 
-    calls = []
-    before = set(threading.enumerate())
-    # the first block fails, a block mid-stream fails, the second piece of a
-    # block mid-stream fails, the third fn call fails
+    threads = threading.active_count()
+    # the first block fails, a block mid-stream fails on n_grids grids, the
+    # third fn call fails on one grid and on n_grids grids
     for sampler, batches, fn, error in (
             (failing_sampler(0), [batch], first_slot, LookupError),
-            (failing_sampler(5), [batch], first_slot, LookupError),
-            (failing_sampler(5, piece=1), [wide, batch], first_slot, LookupError),
-            (block_pieces, [batch], failing_fn, ArithmeticError)):
-        monkeypatch.setattr(mc, "_block_pieces", sampler)
+            (failing_sampler(5), grids, first_slot, LookupError),
+            (sample_block, [batch], failing_fn, ArithmeticError),
+            (sample_block, grids, failing_fn, ArithmeticError)):
+        calls = []
+        monkeypatch.setattr(mc, "_sample_block", sampler)
         with pytest.raises(error, match="failed"):
             mc._map_blocks(batches, [fn] * len(batches))
-        assert set(threading.enumerate()) == before
-    assert len(calls) == 3
-    monkeypatch.setattr(mc, "_block_pieces", block_pieces)
-    for got, b in zip(mc._map_blocks([wide, batch], [first_slot] * 2), (wide, batch)):
+        assert threading.active_count() == threads
+        assert len(calls) == (3 if fn is failing_fn else 0)
+    monkeypatch.setattr(mc, "_sample_block", sample_block)
+    for got, b in zip(mc._map_blocks(grids, [first_slot] * n_grids), grids):
         assert np.array_equal(got, b.increments[:, 0])
-    assert set(threading.enumerate()) == before
-
-
-@PROPERTY
-@given(st.integers(0, 2**64 - 1), st.integers(0, 9), st.integers(1, 3001), st.data())
-def test_block_pieces_bit_equal_to_one_fill(seed, block, size, data):
-    # any cut of a block's stream, empty and odd-length pieces included,
-    # fills it with the normals of one fill, and nothing beyond its end
-    cuts = data.draw(st.lists(st.integers(0, size), max_size=6))
-    ends = sorted(cuts) + [size]
-    stream = np.full(size + 5, np.nan)
-    for fill in mc._block_pieces(seed, block, stream, ends):
-        fill()
-    one = np.empty(size)
-    mc._sample_block(seed, block, one)
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(block))
-    assert stream[:size].tobytes() == one.tobytes() == rng.standard_normal(size).tobytes()
-    assert np.isnan(stream[size:]).all()
+    assert threading.active_count() == threads
 
 
 def test_map_blocks_in_any_grid_order_bit_equal_across_workers(monkeypatch):
     # grids in non-ascending order, a repeated grid and a single grid: every
-    # hedge residual and occupation time is the materialized reference's at
-    # every worker count
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    # hedge residual and occupation time is the materialized reference's
     monkeypatch.setattr(mc, "_l2_of_samples", lambda values: values.copy())
     payoff = mc.DigitalPayoff(0.0)
     n_samples = 2 * mc.SAMPLE_BLOCK + 33
@@ -867,12 +801,10 @@ def test_map_blocks_in_any_grid_order_bit_equal_across_workers(monkeypatch):
         hedges = [_hedge_residual_materialized(payoff, b.grid, b).tobytes() for b in serial]
         occupations = [(np.sum(b.brownian_paths() >= 0.0, axis=1) * b.grid.dt).tobytes()
                        for b in serial]
-        for workers in (1, 2, 4):
-            batches = [mc.sample_paths(GridSpec(1.0, n), n_samples, 21, workers)
-                       for n in n_list]
-            got = mc.tracking_error_hedges(payoff, batches)
-            assert [r.tobytes() for r in got] == hedges
-            assert [oracles.occupation_value(b).tobytes() for b in batches] == occupations
+        batches = [mc.sample_paths(GridSpec(1.0, n), n_samples, 21) for n in n_list]
+        got = mc.tracking_error_hedges(payoff, batches)
+        assert [r.tobytes() for r in got] == hedges
+        assert [oracles.occupation_value(b).tobytes() for b in batches] == occupations
 
 
 def test_empty_batch_list_gives_no_results():
@@ -881,20 +813,21 @@ def test_empty_batch_list_gives_no_results():
 
 
 def test_path_batch_rejects_worker_counts_below_one():
+    # a batch is its grid, sample count and seed alone: it takes no worker count
     grid = GridSpec(1.0, 2)
-    for workers in (0, -1):
-        with pytest.raises(ValueError, match="workers"):
-            mc.sample_paths(grid, 10, seed=1, workers=workers)
-    assert mc.sample_paths(grid, 10, seed=1, workers=1).workers == 1
+    for n_samples in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            mc.sample_paths(grid, n_samples, seed=1)
+    assert [f.name for f in dataclasses.fields(mc.PathBatch)] == ["grid", "n_samples", "seed"]
+    with pytest.raises(TypeError):
+        mc.sample_paths(grid, 10, seed=1, workers=2)
 
 
 def test_tracking_error_hedges_reject_mismatched_batches():
     grid, fine = GridSpec(1.0, 2), GridSpec(1.0, 4)
     payoff = mc.DigitalPayoff(0.0)
-    base = mc.sample_paths(grid, 100, seed=1, workers=1)
-    for other in (mc.sample_paths(fine, 100, seed=2, workers=1),
-                  mc.sample_paths(fine, 101, seed=1, workers=1),
-                  mc.sample_paths(fine, 100, seed=1, workers=2)):
+    base = mc.sample_paths(grid, 100, seed=1)
+    for other in (mc.sample_paths(fine, 100, seed=2), mc.sample_paths(fine, 101, seed=1)):
         with pytest.raises(ValueError, match="share seed"):
             mc.tracking_error_hedges(payoff, [base, other])
 
@@ -1025,6 +958,11 @@ def test_payoff_label():
     assert mc.payoff_label(mc.OccupationTimePayoff()) == "occupation"
     assert mc.payoff_label(mc.ExponentialPayoff(-1j, 1j)) == "Re((-0-1j)*exp((0+1j)*x))"
     assert mc.payoff_label(mc.ExponentialPayoff(1.0, 0.5)) == "Re((1)*exp((0.5)*x))"
+    # the fewest digits from 6 on that read back as the value
+    assert mc.PolynomialPayoff((0.1234567, -1.0, 0.1 + 0.2)).label == (
+        "poly:0.1234567,-1,0.30000000000000004")
+    assert mc.DigitalPayoff(0.1234568).label == "digital:0.1234568"
+    assert mc.DigitalPayoff(-0.0).label == "digital:-0"
     # the benchmark's payoff specs are their payoffs' labels
     for spec in ("poly:0,0,1", "digital:0", "digital:0.5", "occupation"):
         payoff = cli.parse_payoff(spec)
@@ -1040,7 +978,7 @@ def test_brownian_paths_checked_and_bit_equal(monkeypatch):
     # with the increments cached, the paths are the next samples * N * 8 bytes:
     # 320,000 of them, against 100 pages of 4096 bytes and then 78
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
-    monkeypatch.setattr(mc.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(mi.os, "sysconf", pages.__getitem__)
     assert np.array_equal(batch.brownian_paths(), expected)
     pages["SC_PHYS_PAGES"] = 78
     with pytest.raises(mc.PathBatchTooLarge, match="Brownian paths .* 320000 bytes"):
