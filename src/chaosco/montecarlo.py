@@ -107,7 +107,7 @@ class ExponentialPayoff:
 
     @property
     def label(self) -> str:
-        return f"Re(({self.c:g})*exp(({self.beta:g})*x))"
+        return f"Re(({_round_trip_g(self.c)})*exp(({_round_trip_g(self.beta)})*x))"
 
     def hermite_coeffs(self, T: float, max_degree: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosco import chaos, hermite, montecarlo as mc
+from chaosco import chaos, cli, clark_ocone as co, hermite, montecarlo as mc
 from chaosco import multiindex as mi
 from chaosco.chaos import ChaosExpansion, GridSpec
 
@@ -102,7 +102,8 @@ def test_expansion_bulk_key_check_matches_canonical_loop(coeffs, n):
             ChaosExpansion(grid, coeffs)
         return
     got = ChaosExpansion(grid, coeffs).coeffs
-    assert list(got.items()) == list(expected.items())
+    # the same dict, held in graded order whatever the insertion order
+    assert list(got.items()) == sorted(expected.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     assert all(type(x) is int for a in got for x in a)
 
 
@@ -303,7 +304,6 @@ def test_evaluate_slot_major_bit_equal():
     partial = chaos.conditional_expectation(mixed, 1)
     assert max(map(len, partial.coeffs)) == 1
     for f in (oracles.constant(g, 1.25), ChaosExpansion(g, {}), mixed, partial):
-        assert f.items() is f.items()
         assert list(f.items()) == sorted(f.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         single = rng.standard_normal(3)
         value = chaos.evaluate(f, single)
@@ -472,7 +472,7 @@ def _refine_reference(f, n1):
 def test_refine_bit_equal_to_loop(n0, max_degree, n1, seed):
     rng = np.random.default_rng(seed)
     keys = [a for a in mi.enumerate_upto(n0, max_degree) if rng.random() < 0.7]
-    rng.shuffle(keys)  # insertion order is kept, whatever it is
+    rng.shuffle(keys)  # not graded; both outputs are, whatever the input's order
     f = ChaosExpansion(GridSpec(1.0, n0), {a: rng.uniform(-1, 1) for a in keys})
     got = chaos.refine(f, n1)
     assert list(got.coeffs.items()) == list(_refine_reference(f, n1).coeffs.items())
@@ -559,9 +559,37 @@ def test_graded_items_equal_sorted_route(n, max_degree, shuffle, seed):
         rng.shuffle(keys)
     f = ChaosExpansion(GridSpec(1.0, n), {a: rng.uniform(-1, 1) for a in keys})
     assert f.items() == _sorted_items(f)
-    # refine's output is not graded: each coarse key's fine set is inserted whole
+    # refine sorts each coarse degree's fine keys
     fine = chaos.refine(f, 2)
     assert fine.items() == _sorted_items(fine)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_every_construction_path_holds_graded_order(n, max_degree, seed):
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(1.0, n)
+    f = cli._random_expansion(np.random.Generator(np.random.Philox(key=seed)), grid, max_degree)
+    keys = [a for a in f.coeffs if rng.random() < 0.8]
+    rng.shuffle(keys)
+    shuffled = ChaosExpansion(grid, {a: rng.uniform(-1, 1) for a in keys})
+    d = co.decompose(shuffled)
+    built = [
+        f,
+        shuffled,
+        mc.coeffs_terminal(mc.DigitalPayoff(0.0), grid, max_degree),
+        mc.coeffs_terminal(mc.PolynomialPayoff((0.5, -1.0, 0.0, 2.0)), grid, max_degree),
+        mc.coeffs_occupation_time(grid, max_degree),
+        *(chaos.refine(shuffled, n1) for n1 in (1, 2, 3)),
+        co.err_tail(shuffled, 1),
+        *(chaos.conditional_expectation(shuffled, ell) for ell in range(n + 1)),
+        *(term.integrand for term in d.terms),
+        co.reconstruct(d),
+    ]
+    for g in built:
+        # held in graded order, as items() returns it
+        assert tuple(g.coeffs.items()) == g.items() == _sorted_items(g)
+        assert g.max_degree() == max(map(sum, g.coeffs), default=0)
 
 
 def _write_expansion_csv_reference(f, header_lines):

@@ -958,6 +958,12 @@ def test_payoff_label():
     assert mc.payoff_label(mc.OccupationTimePayoff()) == "occupation"
     assert mc.payoff_label(mc.ExponentialPayoff(-1j, 1j)) == "Re((-0-1j)*exp((0+1j)*x))"
     assert mc.payoff_label(mc.ExponentialPayoff(1.0, 0.5)) == "Re((1)*exp((0.5)*x))"
+    # payoffs that differ past six digits have distinct labels that read back as c and beta
+    for c, beta in ((1, 0.1234567), (1, 0.1234568), (0.1 + 0.2, 1 / 3 - 2j)):
+        parts = re.fullmatch(r"Re\(\((.*)\)\*exp\(\((.*)\)\*x\)\)",
+                             mc.ExponentialPayoff(c, beta).label).groups()
+        assert tuple(map(complex, parts)) == (c, beta)
+    assert mc.ExponentialPayoff(1, 0.1234567).label != mc.ExponentialPayoff(1, 0.1234568).label
     # the fewest digits from 6 on that read back as the value
     assert mc.PolynomialPayoff((0.1234567, -1.0, 0.1 + 0.2)).label == (
         "poly:0.1234567,-1,0.30000000000000004")
