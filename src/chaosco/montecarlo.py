@@ -27,6 +27,11 @@ from .multiindex import PathBatchTooLarge, _check_fits  # noqa: F401 (re-exporte
 
 #: per-block sample count for counter-based generation
 SAMPLE_BLOCK = 4096
+#: normals in the window that _map_blocks streams each block through: a whole
+#: block on up to STREAM_WINDOW // SAMPLE_BLOCK = 64 slots
+STREAM_WINDOW = 2**18
+#: the window holds at least this many rows of the largest grid
+STREAM_ROWS = 1024
 #: block rows per tile of the copy into slot-major order: a tile of rows x N
 #: doubles stays in cache, where one strided copy of the block does not
 TRANSPOSE_ROWS = 64
@@ -308,10 +313,10 @@ class PathBatch:
 
     Only the grid, the sample count and the Philox seed are stored.  The
     increments of block b are regenerated bit for bit from (seed, b)
-    whenever an estimator streams the batch (``_map_blocks``), with two
-    block buffers held at every sample count.  ``increments`` materializes
-    the whole (n_samples, N) array on first access, block by block, and
-    keeps it.
+    whenever an estimator streams the batch (``_map_blocks``), through a
+    window and a slot buffer of at most max(STREAM_WINDOW, STREAM_ROWS * N)
+    doubles each at every sample count.  ``increments`` materializes the
+    whole (n_samples, N) array on first access, block by block, and keeps it.
     """
 
     grid: GridSpec
@@ -334,7 +339,7 @@ class PathBatch:
         out = np.empty((self.n_samples, self.grid.N))
         for b in range(self.n_blocks):
             lo, hi = _block_bounds(b, self.n_samples)
-            _sample_block(self.seed, b, out[lo:hi])
+            _block_generator(self.seed, b).standard_normal(out=out[lo:hi])
         return out
 
     def brownian_paths(self) -> np.ndarray:
@@ -351,9 +356,9 @@ class PathBatch:
         return np.cumsum(paths, axis=1, out=paths)
 
 
-def _sample_block(seed: int, block: int, out: np.ndarray) -> None:
-    """Fill C-contiguous out, in memory order, from block's Philox(key=seed).jumped(block)."""
-    np.random.Generator(np.random.Philox(key=seed).jumped(block)).standard_normal(out=out)
+def _block_generator(seed: int, block: int) -> np.random.Generator:
+    """Block's stream: Philox(key=seed).jumped(block), filled in memory order."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(block))
 
 
 def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
@@ -364,19 +369,25 @@ def _block_bounds(block: int, n_samples: int) -> Tuple[int, int]:
 def _map_blocks(
     batches: Sequence[PathBatch], fns: Sequence[Callable[[np.ndarray], np.ndarray]]
 ) -> List[np.ndarray]:
-    """fns[i] over batches[i], one SAMPLE_BLOCK of paths at a time, in sample order.
+    """fns[i] over batches[i], a SAMPLE_BLOCK of paths at a time, in sample order.
 
     The batches share seed and sample count, so block b of each is the same
-    Philox stream cut to its own grid: it is sampled once, row-major at the
-    largest N, into one stream buffer, and every batch reads its rows from
-    a prefix of it.  In the caller's order, each batch's prefix is
-    transposed TRANSPOSE_ROWS rows at a time, so that each tile stays in
-    cache, into the one C-contiguous slot-major (N, rows) buffer that fn
-    receives; fn returns one value per path.  The slot buffer is refilled
-    for every call, so fn may overwrite it.  Everything runs on the calling
-    thread, block after block, and an exception in the sampler or in fn is
-    raised as it comes.  Two block buffers are held, and memory does not
-    grow with n_samples beyond the results and what fn allocates per call.
+    Philox stream cut to its own grid: a batch on N slots reads its rows from
+    the stream's first rows * N normals.  The stream is sampled once, at the
+    largest N, a piece at a time into a window of max(STREAM_WINDOW,
+    STREAM_ROWS * max N) normals, capped at the block's own.  Each batch gets
+    its rows as soon as they are complete in the window, transposed
+    TRANSPOSE_ROWS rows at a time, so that each tile stays in cache, into the
+    one C-contiguous slot-major (N, rows) buffer that fn receives; fn returns
+    one value per path.  The earliest incomplete row of any batch is carried
+    into the next piece.  A batch whose whole block fits the window, every
+    batch on up to 64 slots, gets one call per block; every other batch gets
+    calls of at least STREAM_ROWS paths, bar a block's last.  The slot buffer
+    is refilled for every call, so fn may overwrite it.  Everything runs on
+    the calling thread, and an exception in the sampler or in fn is raised
+    as it comes.  The window and the slot buffer are all that is held besides
+    the results and what fn allocates per call: memory does not grow with
+    n_samples, and with max N only as the window does.
     """
     if not batches:
         return []
@@ -386,22 +397,43 @@ def _map_blocks(
     n = first.n_samples
     max_slots = max(b.grid.N for b in batches)
     _check_fits(len(batches) * n * 8, f"results of {n} paths on {len(batches)} grids")
-    size = min(n, SAMPLE_BLOCK) * max_slots
-    _check_fits(2 * size * 8, f"block buffers of {min(n, SAMPLE_BLOCK)} paths on {max_slots} slots")
+    block_rows = min(n, SAMPLE_BLOCK)
+    size = min(block_rows * max_slots, max(STREAM_WINDOW, STREAM_ROWS * max_slots))
+    what = f"block buffers of {block_rows} paths on {max_slots} slots"
+    if size < block_rows * max_slots:
+        what += f", through a window of {size} normals,"
+    _check_fits(2 * size * 8, what)
     outs = [np.empty(n) for _ in batches]
-    stream, slot_buffer = np.empty(size), np.empty(size)
+    window, slot_buffer = np.empty(size), np.empty(size)
     for b in range(first.n_blocks):
         lo, hi = _block_bounds(b, n)
         rows = hi - lo
-        _sample_block(first.seed, b, stream[: rows * max_slots])
-        for batch, fn, out in zip(batches, fns, outs):
-            slots = batch.grid.N
-            xi = slot_buffer[: rows * slots].reshape(slots, rows)
-            paths = stream[: rows * slots].reshape(rows, slots)
-            for tile in range(0, rows, TRANSPOSE_ROWS):
-                tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
-                np.copyto(xi[:, tile_rows], paths[tile_rows].T)
-            out[lo:hi] = fn(xi)
+        generator = _block_generator(first.seed, b)
+        # rows handed to each batch; the window holds the stream's normals [start, end)
+        done = [0] * len(batches)
+        start = end = 0
+        while end < rows * max_slots:
+            # the earliest row that a batch still lacks moves to the window's front
+            keep = min(d * batch.grid.N for d, batch in zip(done, batches) if d < rows)
+            window[: end - keep] = window[keep - start : end - start]
+            start = keep
+            fill = min(size - (end - start), rows * max_slots - end)
+            generator.standard_normal(out=window[end - start : end - start + fill])
+            end += fill
+            for i, (batch, fn, out) in enumerate(zip(batches, fns, outs)):
+                slots = batch.grid.N
+                top = min(end // slots, rows)
+                count = top - done[i]
+                if count == 0:
+                    continue
+                xi = slot_buffer[: count * slots].reshape(slots, count)
+                paths = window[done[i] * slots - start : top * slots - start]
+                paths = paths.reshape(count, slots)
+                for tile in range(0, count, TRANSPOSE_ROWS):
+                    tile_rows = slice(tile, tile + TRANSPOSE_ROWS)
+                    np.copyto(xi[:, tile_rows], paths[tile_rows].T)
+                out[lo + done[i] : lo + top] = fn(xi)
+                done[i] = top
     return outs
 
 
@@ -412,8 +444,10 @@ def sample_paths(grid: GridSpec, n_samples: int, seed: int) -> PathBatch:
     index).  Each block is filled row-major from its own stream, so block b
     on N slots holds the first rows * N normals of block b on any larger
     grid with the same seed and sample count: one sampling pass serves a
-    whole list of grids.  Nothing is sampled here: estimators stream the
-    blocks, and ``increments`` builds the full array on demand.
+    whole list of grids, and a grid's rows are ready once the stream has
+    passed them.  Nothing is sampled here: estimators stream the blocks
+    through a bounded window, and ``increments`` builds the full array on
+    demand.
     """
     return PathBatch(grid, n_samples, seed)
 
@@ -467,14 +501,17 @@ def tracking_error_hedges(
     """:func:`tracking_error_hedge` on each batch's grid, from one sampling pass.
 
     The batches share seed and sample count (see ``_map_blocks``);
-    each estimate is bit-equal to the one its batch gives on its own.  The
-    kernel scales each slot-major block to dW in place, since the block is
-    the slot buffer that ``_map_blocks`` refills for every call, and
-    evaluates HEDGE_CHUNK slots per numpy call into one (2, HEDGE_CHUNK,
-    rows) buffer per call.  W_T is the end of the running sum that gives
-    each W_{t_{ell-1}}, and each dW slot holds its hedge term once the sum
-    has passed it.  Its operations and their order are those of the
-    slot-by-slot loop, so the residuals are too.
+    each estimate is bit-equal to the one its batch gives on its own.  A
+    grid whose block fits the stream window, every grid of up to 64 slots,
+    is hedged in one call per block, and a larger one in calls of at least
+    STREAM_ROWS paths, bar a block's last.  The kernel scales each
+    slot-major piece to dW in place, since it is the slot buffer that
+    ``_map_blocks`` refills for every call, and evaluates HEDGE_CHUNK slots
+    per numpy call into one (2, HEDGE_CHUNK, rows) buffer per call.  W_T is
+    the end of the running sum that gives each W_{t_{ell-1}}, and each dW
+    slot holds its hedge term once the sum has passed it.  Its operations
+    and their order are those of the slot-by-slot loop, so the residuals
+    are too.
     """
     if isinstance(payoff, OccupationTimePayoff):
         raise TypeError("tracking-error hedging requires a terminal payoff")
@@ -483,13 +520,17 @@ def tracking_error_hedges(
     def hedge_on(grid: GridSpec) -> Callable[[np.ndarray], np.ndarray]:
         sqrt_dt = math.sqrt(grid.dt)
         mean = float(hermite_expand_terminal(payoff, grid.T, 0)[0])
+        # sqrt(T - t_{ell-1}) for ell = 1..N, one row per slot, made once on
+        # the first call: after _map_blocks has checked that N slots fit
+        sqrt_var = None
 
         def hedge(xi: np.ndarray) -> np.ndarray:
+            nonlocal sqrt_var
+            if sqrt_var is None:
+                sqrt_var = np.sqrt(grid.T - np.arange(grid.N) * grid.dt)[:, None]
             # xi is _map_blocks's slot buffer, refilled for every call: it becomes dW
             dw = np.multiply(xi, sqrt_dt, out=xi)
             slots, rows = dw.shape
-            # sqrt(T - t_{ell-1}) for ell = 1..N, one row per slot
-            sqrt_var = np.sqrt(grid.T - np.arange(slots) * grid.dt)[:, None]
             chunk = min(HEDGE_CHUNK, slots)
             w, term = np.empty((2, chunk, rows))
 

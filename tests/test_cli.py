@@ -538,7 +538,7 @@ def test_simulate_hedge_peak_memory(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_simulate_hedge_two_lanes_peak_memory(tmp_path):
-    # the stream buffer, the slot buffer and per-call buffers of a few
+    # the window, the slot buffer and per-call buffers of a few
     # slots, where one (N + 1) x 4096 table per call gives 85.7 MB; --workers
     # is accepted and changes nothing
     code, peak_mb = _child_peak_rss(
@@ -550,8 +550,9 @@ def test_simulate_hedge_two_lanes_peak_memory(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_simulate_hedge_peak_memory_same_at_one_and_two_threads(tmp_path):
-    # one stream buffer and one slot buffer at every --workers, which is
-    # accepted and changes nothing (54.1 MB measured)
+    # one window and one slot buffer of 2^18 doubles each at every --workers,
+    # which is accepted and changes nothing (42.1 MB measured, where two
+    # whole-block buffers of 4096 x 256 doubles took 54.1 MB)
     peaks = {}
     for workers in ("1", "2"):
         code, peaks[workers] = _child_peak_rss(
@@ -559,8 +560,19 @@ def test_simulate_hedge_peak_memory_same_at_one_and_two_threads(tmp_path):
              "--N-list", "4,8,16,32,64,128,256", "--samples", "50000", "--workers", workers,
              "--out", str(tmp_path / f"hedge{workers}.csv")])
         assert code == EXIT_OK
-    assert peaks["2"] < 57.0
+    assert peaks["2"] < 46.0
     assert abs(peaks["2"] - peaks["1"]) <= 1.5
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_simulate_hedge_fine_grid_peak_memory(tmp_path):
+    # N = 4096 streams each block through a window of 1024 rows: 99.5 MB
+    # measured, where two whole-block buffers of 4096 x 4096 doubles took 291.5 MB
+    code, peak_mb = _child_peak_rss(
+        ["-m", "chaosco.cli", "simulate-hedge", "--payoff", "digital:0", "--N-list", "16,4096",
+         "--samples", "8192", "--out", str(tmp_path / "hedge.csv")])
+    assert code == EXIT_OK
+    assert peak_mb < 140.0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")

@@ -582,6 +582,34 @@ def test_block_buffers_and_tables_refused_beyond_physical_memory(monkeypatch):
     assert refused_at(need, lambda: co.evaluate_decomposition(d, xi)).shape == (1000,)
 
 
+def test_window_buffers_refused_beyond_physical_memory(monkeypatch):
+    # beyond 64 slots a block is streamed through a window of STREAM_WINDOW
+    # normals, or STREAM_ROWS rows of the largest grid: the window and the
+    # slot buffer are what is counted and allocated, not two whole blocks
+    batches = [mc.sample_paths(GridSpec(1.0, n), mc.SAMPLE_BLOCK + 904, seed=3)
+               for n in (4, 256)]
+    wants = [batch.increments[:, 0] for batch in batches]
+    pages = {"SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(mi.os, "sysconf", pages.__getitem__)
+    need = 2 * mc.STREAM_WINDOW * 8
+    assert mc.STREAM_WINDOW == 2**18 and need < 2 * mc.SAMPLE_BLOCK * 256 * 8
+    pages["SC_PHYS_PAGES"] = need - 1
+    what = (f"block buffers of {mc.SAMPLE_BLOCK} paths on 256 slots, through a window "
+            f"of {2**18} normals, need {need} bytes")
+    with pytest.raises(mc.PathBatchTooLarge, match=re.escape(what)):
+        mc.tracking_error_hedges(mc.DigitalPayoff(0.0), batches)
+    pages["SC_PHYS_PAGES"] = need
+    tracemalloc.start()
+    try:
+        firsts = mc._map_blocks(batches, [lambda xi: xi[0].copy()] * 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need < peak < need + 2**18
+    for got, want in zip(firsts, wants):
+        assert np.array_equal(got, want)
+
+
 def test_sample_paths_deterministic():
     grid = GridSpec(1.0, 4)
     a = mc.sample_paths(grid, 10_000, seed=1)
@@ -751,13 +779,21 @@ def test_map_blocks_failure_ends_every_thread(monkeypatch, n_grids):
     batch = mc.sample_paths(GridSpec(1.0, 3), 10 * mc.SAMPLE_BLOCK, seed=1)
     grids = [mc.sample_paths(GridSpec(1.0, n), 10 * mc.SAMPLE_BLOCK, seed=1)
              for n in (8, 3, 5, 2)[:n_grids]]
-    sample_block = mc._sample_block
+    block_generator = mc._block_generator
+
+    class FailingGenerator:
+        # block at's stream fails on its first fill, after writing it
+        def __init__(self, generator):
+            self.generator = generator
+
+        def standard_normal(self, out):
+            self.generator.standard_normal(out=out)
+            raise LookupError("sampler failed")
 
     def failing_sampler(at):
-        def sampler(seed, block, out):
-            sample_block(seed, block, out)
-            if block == at:
-                raise LookupError("sampler failed")
+        def sampler(seed, block):
+            generator = block_generator(seed, block)
+            return FailingGenerator(generator) if block == at else generator
 
         return sampler
 
@@ -776,15 +812,15 @@ def test_map_blocks_failure_ends_every_thread(monkeypatch, n_grids):
     for sampler, batches, fn, error in (
             (failing_sampler(0), [batch], first_slot, LookupError),
             (failing_sampler(5), grids, first_slot, LookupError),
-            (sample_block, [batch], failing_fn, ArithmeticError),
-            (sample_block, grids, failing_fn, ArithmeticError)):
+            (block_generator, [batch], failing_fn, ArithmeticError),
+            (block_generator, grids, failing_fn, ArithmeticError)):
         calls = []
-        monkeypatch.setattr(mc, "_sample_block", sampler)
+        monkeypatch.setattr(mc, "_block_generator", sampler)
         with pytest.raises(error, match="failed"):
             mc._map_blocks(batches, [fn] * len(batches))
         assert threading.active_count() == threads
         assert len(calls) == (3 if fn is failing_fn else 0)
-    monkeypatch.setattr(mc, "_sample_block", sample_block)
+    monkeypatch.setattr(mc, "_block_generator", block_generator)
     for got, b in zip(mc._map_blocks(grids, [first_slot] * n_grids), grids):
         assert np.array_equal(got, b.increments[:, 0])
     assert threading.active_count() == threads
@@ -805,6 +841,37 @@ def test_map_blocks_in_any_grid_order_bit_equal_across_workers(monkeypatch):
         got = mc.tracking_error_hedges(payoff, batches)
         assert [r.tobytes() for r in got] == hedges
         assert [oracles.occupation_value(b).tobytes() for b in batches] == occupations
+
+
+def test_map_blocks_rows_straddling_window_pieces_bit_equal(monkeypatch):
+    # a window of a few rows of the largest grid, a multiple of no grid's row:
+    # each piece leaves a partial row of some grid to carry over, and every
+    # first slot, occupation time and hedge residual is the materialized
+    # reference's, at every block remainder
+    monkeypatch.setattr(mc, "_l2_of_samples", lambda values: values.copy())
+    monkeypatch.setattr(mc, "STREAM_ROWS", 1)
+    payoff = mc.DigitalPayoff(0.0)
+    n_list = [1000, 3, 17, 256, 3]
+    windows = (3 * 1000 + 7, 50 * 1000 + 11)
+    assert all(window % n for window in windows for n in n_list)
+    for n_samples in (1, mc.SAMPLE_BLOCK - 1, mc.SAMPLE_BLOCK + 1, 2 * mc.SAMPLE_BLOCK + 33):
+        serial = [mc.sample_paths(GridSpec(1.0, n), n_samples, 21) for n in n_list]
+        firsts = [b.increments[:, 0].tobytes() for b in serial]
+        occupations = [(np.sum(b.brownian_paths() >= 0.0, axis=1) * b.grid.dt).tobytes()
+                       for b in serial]
+        hedges = [_hedge_residual_materialized(payoff, b.grid, b).tobytes() for b in serial]
+        del serial
+        batches = [mc.sample_paths(GridSpec(1.0, n), n_samples, 21) for n in n_list]
+        for window in windows:
+            monkeypatch.setattr(mc, "STREAM_WINDOW", window)
+            got = mc._map_blocks(batches, [lambda xi: xi[0].copy()] * len(n_list))
+            assert [r.tobytes() for r in got] == firsts
+            assert [oracles.occupation_value(b).tobytes() for b in batches] == occupations
+        # the hedges run at the last window, of 50 rows: at 3 rows per call
+        # the 1000-slot hedge alone takes seconds
+        got = mc.tracking_error_hedges(payoff, batches)
+        assert [r.tobytes() for r in got] == hedges
+        assert all("increments" not in vars(b) for b in batches)
 
 
 def test_empty_batch_list_gives_no_results():
