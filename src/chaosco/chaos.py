@@ -49,9 +49,10 @@ class ChaosExpansion:
     The zero-index coefficient is the (generalized) expectation; the squared
     L2 norm is the sum of squared coefficients.  The values of keys that
     canonicalize alike are summed, and sums below 1e-14 in magnitude pruned;
-    a NaN or infinite sum raises a ValueError naming its index.  ``coeffs``
-    is held in graded order, by (|a|, a): a validated dict is sorted once
-    here, and the package's builders insert in that order.
+    a NaN or infinite value raises a ValueError naming its index, whether
+    the dict was validated here or made by a builder.  ``coeffs`` is held in
+    graded order, by (|a|, a): a validated dict is sorted once here, and the
+    package's builders insert in that order.
     """
 
     grid: GridSpec
@@ -60,7 +61,7 @@ class ChaosExpansion:
     def __post_init__(self):
         merged = self.coeffs
         if type(merged) is not _CanonicalCoeffs:
-            # sum the values of keys that canonicalize alike; refuse a non-finite sum
+            # sum the values of keys that canonicalize alike
             merged = {}
             for key, value in self.coeffs.items():
                 key = mi.canonical(key)
@@ -68,13 +69,15 @@ class ChaosExpansion:
                     raise ValueError(
                         f"index {key} needs {len(key)} slots but grid has {self.grid.N}"
                     )
-                value = merged[key] = merged.get(key, 0.0) + float(value)
-                if not math.isfinite(value):
-                    raise ValueError(f"coefficient of index {key} is not finite: {value!r}")
+                merged[key] = merged.get(key, 0.0) + float(value)
             merged = {key: merged[key] for key in sorted(merged, key=lambda a: (sum(a), a))}
-        # distinct canonical keys: each sum is pruned
+        # distinct canonical keys: each sum is pruned, a NaN or an infinity
+        # kept, and then refused
         values = map(float, merged.values())
-        clean = {key: value for key, value in zip(merged, values) if abs(value) > COEFF_PRUNE}
+        clean = {key: value for key, value in zip(merged, values) if not abs(value) <= COEFF_PRUNE}
+        if not all(map(math.isfinite, clean.values())):
+            key = next(key for key, value in clean.items() if not math.isfinite(value))
+            raise ValueError(f"coefficient of index {key} is not finite: {clean[key]!r}")
         object.__setattr__(self, "coeffs", clean)
 
     def mean(self) -> float:
@@ -141,8 +144,8 @@ class _CanonicalCoeffs(dict):
     Built in this package only, by code that derives every key from a
     canonical expansion's keys or from an index table of the grid, and
     inserts the keys in graded order; for it, :class:`ChaosExpansion` skips
-    the per-key canonical check and the sort but still converts and prunes
-    the values.
+    the per-key canonical check and the sort but still converts the values,
+    refuses a non-finite one and prunes the rest.
     """
 
 

@@ -262,25 +262,33 @@ def verify_bounds(
     n1_list: Iterable[int],
     s_list: Iterable[float],
     r_list: Iterable[float],
+    n0: int = 1,
 ) -> Iterator[BoundRow]:
     """The bound table of one expansion, in ``itertools.product`` order.
 
-    Row (n, N1, s, r) holds lhs = err_norm_refined(f, n, N1, s), its bound
+    Row (n, N1, s, r) holds lhs = err_norm_refined(f, n, n0 N1, s), its bound
     rhs = error_norm_bound(f, n, N1, s, r), whether lhs is within it
     (:func:`bound_holds`) and the slack rhs - lhs.  lhs is computed once per
-    (n, N1, s) and log(n! N1^n) once per (n, N1).  Every n, N1 and r is
+    (n, N1, s) and log(n! N1^n) once per (n, N1).  Every n, N1, r and n0 is
     checked before the first row.  A norm or bound too large for a float
     raises an OverflowError that names its row.
+
+    f stands for its refinement by n0: refinement composes and keeps each
+    degree's mass, so refining that by N1 is refining f by n0 N1, and its
+    Sobolev norms are f's.  A terminal payoff's N0-slot table is thus its
+    one-step expansion's at n0 = N0.
     """
     orders, n1_list, s_list, r_list = map(tuple, (orders, n1_list, s_list, r_list))
+    if n0 < 1:
+        raise ValueError("refinement factor n0 must be >= 1")
     for n, n1 in itertools.product(orders, n1_list):
         _check_orders(n, n1)
     for r in r_list:
         _check_interpolation(r)
-    return _bound_rows(f, orders, n1_list, s_list, r_list)
+    return _bound_rows(f, orders, n1_list, s_list, r_list, n0)
 
 
-def _bound_rows(f, orders, n1_list, s_list, r_list) -> Iterator[BoundRow]:
+def _bound_rows(f, orders, n1_list, s_list, r_list, n0) -> Iterator[BoundRow]:
     for n, n1 in itertools.product(orders, n1_list):
         log_den = _log_denominator(n, n1)
         for s in s_list:
@@ -288,7 +296,7 @@ def _bound_rows(f, orders, n1_list, s_list, r_list) -> Iterator[BoundRow]:
             for r in r_list:
                 try:
                     if lhs is None:
-                        lhs = err_norm_refined(f, n, n1, s)
+                        lhs = err_norm_refined(f, n, n0 * n1, s)
                     rhs = _bound(f, n, s, r, log_den)
                 except OverflowError as exc:
                     row = f"({n}, {n1}, {s!r}, {r!r})"

@@ -338,28 +338,44 @@ def _random_expansion(rng: np.random.Generator, grid: GridSpec, max_degree: int)
     return ChaosExpansion(grid, dict(zip(keys, values.tolist())))
 
 
+def _terminal_bounds(payoff, cfg: Dict[str, object], lists: Sequence[list]):
+    """:func:`verify_bounds` of f(W_T) on N0 slots, from its d + 1 one-step coefficients.
+
+    The N0-slot expansion refined by N1 is the one-step expansion refined by
+    N0 N1, with every degree's mass kept, so its C(N0 + d, d) indexes are
+    never built.
+    """
+    f = coeffs_terminal(payoff, GridSpec(cfg["T"], 1), cfg["max_degree"])
+    return verify_bounds(f, *lists, n0=cfg["N0"])
+
+
 def cmd_verify_bound(cfg: Dict[str, object]) -> int:
     grid = GridSpec(cfg["T"], cfg["N0"])
+    lists = [cfg[name] for name in ("order_n_list", "N1_list", "sobolev_s_list", "interp_r_list")]
     if cfg["payoff"] == "random":
         rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
         # drawn one case at a time, as the rows reach it: the same draws in
         # the same order as drawing every case first
-        cases = (
-            (f"random-{i:03d}", _random_expansion(rng, grid, cfg["max_degree"]))
+        tables = (
+            (f"random-{i:03d}",
+             verify_bounds(_random_expansion(rng, grid, cfg["max_degree"]), *lists))
             for i in range(cfg["cases"])
         )
     else:
-        cases = [(cfg["payoff"], _payoff_expansion(cfg))]
-    lists = [cfg[name] for name in ("order_n_list", "N1_list", "sobolev_s_list", "interp_r_list")]
+        payoff = parse_payoff(cfg["payoff"])
+        if isinstance(payoff, OccupationTimePayoff):
+            table = verify_bounds(coeffs_occupation_time(grid, cfg["max_degree"]), *lists)
+        else:
+            table = _terminal_bounds(payoff, cfg, lists)
+        tables = [(cfg["payoff"], table)]
     # the s and r cells, formatted once, in the order every (n, N1) runs through them
     cells = [(_round_trip_g(s), _round_trip_g(r)) for s, r in itertools.product(*lists[2:])]
     all_hold = True
 
     def rows():
         nonlocal all_hold
-        for label, expansion in cases:
-            label = _csv_field(label)
-            table = zip(verify_bounds(expansion, *lists), itertools.cycle(cells))
+        for label, table in tables:
+            label, table = _csv_field(label), zip(table, itertools.cycle(cells))
             for (n, n1, _, _, lhs, rhs, holds, slack), (s, r) in table:
                 all_hold = all_hold and holds
                 yield label, n, n1, s, r, lhs, rhs, _HOLDS[holds], slack
@@ -375,9 +391,8 @@ def cmd_rate_sweep(cfg: Dict[str, object]) -> int:
     if isinstance(payoff, OccupationTimePayoff):
         raise ConfigError("rate-sweep requires a terminal payoff; "
                           "use simulate-hedge for the occupation functional")
-    f = coeffs_terminal(payoff, GridSpec(cfg["T"], cfg["N0"]), cfg["max_degree"])
-    table = verify_bounds(f, [cfg["order_n"]], cfg["N1_list"], [cfg["sobolev_s"]],
-                          [cfg["interp_r"]])
+    lists = [[cfg["order_n"]], cfg["N1_list"], [cfg["sobolev_s"]], [cfg["interp_r"]]]
+    table = _terminal_bounds(payoff, cfg, lists)
     rows = [(n1, lhs, rhs, _HOLDS[holds]) for _, n1, _, _, lhs, rhs, holds, _ in table]
     slope, _ = fit_loglog_slope([row[0] for row in rows], [row[1] for row in rows])
     _write_table("rate-sweep", cfg, ["N1", "error_norm", "bound", "holds"],

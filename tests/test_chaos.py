@@ -54,10 +54,12 @@ def test_expansion_canonicalizes_and_prunes():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_expansion_rejects_non_finite_coefficient(value):
-    # the prune test abs(c) > COEFF_PRUNE is false for a NaN and true for an
-    # infinity: neither may pass as a pruned or a kept coefficient
-    with pytest.raises(ValueError, match="not finite"):
-        ChaosExpansion(GridSpec(1.0, 2), {(1,): value, (2,): 1.0})
+    # a prune test abs(c) > COEFF_PRUNE is false for a NaN and true for an
+    # infinity: neither may pass as a pruned or a kept coefficient, whether
+    # the dict is checked key by key or made by a builder
+    for mapping in (dict, chaos._CanonicalCoeffs):
+        with pytest.raises(ValueError, match=rf"index \(2,\) is not finite: {value!r}"):
+            ChaosExpansion(GridSpec(1.0, 2), mapping({(1,): 1.0, (2,): value}))
 
 
 def test_expansion_prunes_merged_sums():

@@ -16,7 +16,7 @@ import pytest
 
 from chaosco import cli, clark_ocone
 from chaosco.chaos import GridSpec
-from chaosco.clark_ocone import decompose, verify_bound
+from chaosco.clark_ocone import decompose, verify_bound, verify_bounds
 from chaosco.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 from chaosco.montecarlo import (
     DigitalPayoff,
@@ -194,6 +194,37 @@ def test_rate_sweep_output_and_slope(tmp_path):
     assert all(r[3] == "true" for r in data)
 
 
+def test_rate_sweep_slope_is_nan_below_two_positive_norms(tmp_path):
+    # the fit excludes zero error norms; with fewer than two left there is no
+    # slope, and the trailer says nan
+    out = tmp_path / "rs.csv"
+    assert main(["rate-sweep", "--payoff", "poly:0", "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[-1] == "slope=nan"
+    assert [row[1] for row in _rows(str(out))[1:-1]] == ["0"] * 7
+
+
+def test_terminal_bound_tables_at_n0_64_read_the_one_step_coefficients(tmp_path):
+    # C(114, 50) ~ 6.6e32 indexes on 64 slots were refused; the table is read
+    # from the 51 one-step coefficients at N0 N1 instead
+    out = tmp_path / "vb.csv"
+    argv = ["verify-bound", "--payoff", "digital:0", "--N0", "64", "--max-degree", "50",
+            "--out", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    body = _rows(str(out))[1:]
+    assert len(body) == 189 and all(row[7] == "true" for row in body)
+    one_step = coeffs_terminal(DigitalPayoff(0.0), GridSpec(1.0, 1), 50).coeffs
+    (lhs,) = {row[5] for row in body if row[1:4] == ["1", "4", "0"]}
+    assert float(lhs) == pytest.approx(_exact_refined_norm(one_step, 1, 64 * 4, 0), rel=1e-12)
+    sweep = tmp_path / "rs.csv"
+    assert main(["rate-sweep", *argv[1:-1], str(sweep)]) == EXIT_OK
+    # the sweep's rows are verify-bound's (1, N1, 0, 1) rows
+    assert [row[1:3] for row in _rows(str(sweep))[1:-1]] == [
+        row[5:7] for row in body if row[1] == "1" and row[3:5] == ["0", "1"]]
+
+
 def test_rate_sweep_rejects_occupation(tmp_path):
     code = main(
         ["rate-sweep", "--payoff", "occupation", "--out", str(tmp_path / "x.csv")]
@@ -235,6 +266,22 @@ def test_simulate_hedge_occupation_high_degree_stays_finite(tmp_path):
     want = [occupation_error_norm(GridSpec(1.0, n), 1, 110) for n in (256, 1024, 4096)]
     assert [float(row[1]) for row in body] == want
     assert all(math.isfinite(x) for x in want) and want == sorted(want, reverse=True)
+
+
+@pytest.mark.parametrize("command", ["expand", "decompose", "verify-bound"])
+def test_non_finite_coefficient_is_a_numerical_failure_naming_its_index(tmp_path, capsys,
+                                                                        command):
+    # at T = 1e308 the occupation time's coefficients overflow in Python
+    # floats, which raise nothing: expand and decompose wrote -inf cells, and
+    # verify-bound failed in a matmul without naming the quantity
+    out = tmp_path / "occ.csv"
+    argv = [command, "--payoff", "occupation", "--T", "1e308", "--N0", "3", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("chaosco:") == 1 and err.count("\n") == 1
+    assert err.startswith("chaosco: numerical failure: coefficient of index (")
+    assert "is not finite: -inf" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -624,7 +671,10 @@ def _resolved(argv):
 def test_verify_bound_and_decompose_bytes_match_csv_module(tmp_path):
     out = tmp_path / "out.csv"
     common = ["--payoff", "poly:0,0,1", "--N0", "3", "--max-degree", "4", "--out", str(out)]
-    f = coeffs_terminal(PolynomialPayoff((0.0, 0.0, 1.0)), GridSpec(1.0, 3), 4)
+    payoff = PolynomialPayoff((0.0, 0.0, 1.0))
+    f = coeffs_terminal(payoff, GridSpec(1.0, 3), 4)
+    # the CLI's route: the one-step expansion standing for its refinement by N0 = 3
+    one_step = coeffs_terminal(payoff, GridSpec(1.0, 1), 4)
 
     argv = ["verify-bound", *common]
     assert main(argv) == EXIT_OK
@@ -632,10 +682,14 @@ def test_verify_bound_and_decompose_bytes_match_csv_module(tmp_path):
     rows = []
     for n, n1, s, r in itertools.product(cfg["order_n_list"], cfg["N1_list"],
                                          cfg["sobolev_s_list"], cfg["interp_r_list"]):
-        check = verify_bound(f, n, n1, s, r)
+        (*_, lhs, rhs, holds, slack), = verify_bounds(one_step, [n], [n1], [s], [r], n0=3)
         rows.append(("poly:0,0,1", n, n1, format(s, "g"), format(r, "g"),
-                     format(check.lhs, ".17g"), format(check.rhs, ".17g"),
-                     str(check.holds).lower(), format(check.slack, ".17g")))
+                     format(lhs, ".17g"), format(rhs, ".17g"), str(holds).lower(),
+                     format(slack, ".17g")))
+        # the N0 = 3 expansion, the enumerated oracle, gives the same row
+        check = verify_bound(f, n, n1, s, r)
+        assert (check.lhs, check.rhs) == pytest.approx((lhs, rhs), rel=1e-13, abs=0.0)
+        assert check.holds == holds
     columns = ["payoff", "n", "N1", "s", "r", "lhs", "rhs", "holds", "slack"]
     text = out.read_text()
     assert text == _csv_rendering("verify-bound", cfg, columns, rows)

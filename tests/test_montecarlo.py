@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import chaosco
 from chaosco import chaos, cli, clark_ocone as co, hermite, montecarlo as mc
@@ -275,6 +275,54 @@ def test_coeffs_terminal_matches_refined_one_step():
     assert set(refined.coeffs) == set(direct.coeffs)
     for a, c in direct.coeffs.items():
         assert refined.coeffs[a] == pytest.approx(c, abs=1e-13)
+
+
+@st.composite
+def _terminal_payoffs(draw):
+    """A digital strike, a polynomial up to degree 4 or an exponential Re(c e^{beta x})."""
+    kind = draw(st.sampled_from(["digital", "poly", "exp"]))
+    if kind == "digital":
+        return mc.DigitalPayoff(draw(st.floats(-1.5, 1.5)))
+    if kind == "poly":
+        return mc.PolynomialPayoff(tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=1,
+                                                       max_size=5))))
+    part = st.floats(-1.5, 1.5)
+    return mc.ExponentialPayoff(complex(draw(part), draw(part)), complex(draw(part), draw(part)))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(_terminal_payoffs(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, 8),
+       st.integers(0, 12), st.integers(1, 3), st.integers(1, 256), st.floats(-2.0, 2.0))
+@example(mc.DigitalPayoff(0.3), 1.0, 8, 12, 1, 256, 1.0)
+@example(mc.PolynomialPayoff((1.0, -2.0, 0.0, 0.5, 0.25)), 1.0, 8, 12, 3, 4, -2.0)
+@example(mc.ExponentialPayoff(1, 1j), 2.0, 6, 12, 2, 64, 0.5)
+def test_terminal_norms_are_the_one_step_norms_at_n0_n1(payoff, horizon, n0, max_degree, n,
+                                                        n1, s):
+    # refinement composes: the N0-slot expansion refined by N1 is the one-step
+    # expansion refined by N0 N1, and every degree keeps its mass
+    one_step = mc.coeffs_terminal(payoff, GridSpec(horizon, 1), max_degree)
+    f = mc.coeffs_terminal(payoff, GridSpec(horizon, n0), max_degree)
+    # drawn where the N0-slot expansion prunes none of the degrees the one-step keeps
+    assume(len(f.coeffs) == sum(math.comb(sum(a) + n0 - 1, n0 - 1) for a in one_step.coeffs))
+    assert co.err_norm_refined(f, n, n1, s) == pytest.approx(
+        co.err_norm_refined(one_step, n, n0 * n1, s), rel=1e-13, abs=0.0)
+    assert chaos.sobolev_norm(f, s) == pytest.approx(chaos.sobolev_norm(one_step, s),
+                                                     rel=1e-13, abs=0.0)
+
+
+def test_verify_bounds_of_the_one_step_digital_at_n0_6_is_the_n0_slot_table():
+    # the benchmark's verify-digital configuration, row by row
+    lists = ([1, 2, 3], [4, 8, 16, 32, 64, 128, 256], [-1.0, 0.0, 1.0], [0.0, 0.5, 1.0])
+    payoff = mc.DigitalPayoff(0.0)
+    one_step = mc.coeffs_terminal(payoff, GridSpec(1.0, 1), 10)
+    enumerated = list(co.verify_bounds(mc.coeffs_terminal(payoff, GridSpec(1.0, 6), 10), *lists))
+    composed = list(co.verify_bounds(one_step, *lists, n0=6))
+    assert len(composed) == len(enumerated) == 189
+    for row, want in zip(composed, enumerated):
+        assert row[:4] == want[:4] and row[6] == want[6]
+        assert row[4:6] == pytest.approx(want[4:6], rel=1e-13, abs=0.0)
+    with pytest.raises(ValueError, match="n0 must be >= 1"):
+        co.verify_bounds(one_step, *lists, n0=0)
 
 
 def test_coeffs_terminal_pathwise():
